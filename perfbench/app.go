@@ -9,12 +9,15 @@ package main
 // goroutines share; one op in four is a channel pair. One lock-pair path
 // in 16 takes locks both goroutines take, always in ascending lock
 // order, so they contend but never deadlock. After each op a goroutine
-// does seeded application work of 0–200 µs, untimed: two goroutines
-// calling stacktrace.GoroutineID back to back fall into lock-step or
-// alternating patterns whose per-call cost differs by up to 2x from run
-// to run, while random gaps make them collide at random. Every goroutine
-// sends before it receives, so the shared channel always holds an item
-// for a receiver and never blocks.
+// does seeded application work, untimed, of 0–800k rounds of an integer
+// hash (about 0.7 ms on average), so ops take about a fifth of its
+// time. Two goroutines calling stacktrace.GoroutineID back to back fall
+// into lock-step or alternating patterns whose per-call cost differs by
+// up to 2x from run to run; random gaps make them collide at random, and
+// long ones make them collide rarely: with ops at half of each
+// goroutine's time the ten-run spread of the lock-pair p50 reached 0.21.
+// Every goroutine sends before it receives, so the shared channel always
+// holds an item for a receiver and never blocks.
 //
 // The history file holds appHistorySigs signatures built from the
 // sites' own captured stacks. A quarter of the paths are "matched": a
@@ -47,7 +50,7 @@ const (
 	appHistorySigs = 256
 	appSchedule    = 512 // ops in one goroutine's repeating schedule
 	appChanCap     = 8
-	appThink       = 100000 // mean think rounds between ops (about 100us)
+	appThink       = 400000 // mean think rounds between ops
 	opLock         = 0
 	opChan         = 1
 )
@@ -87,7 +90,7 @@ type appWorker struct {
 	ch       chanOps
 	cur      *step
 	val      int
-	evs      [2][]event // per op kind, latency in microseconds
+	lat      [2]samples // per op kind, latency in microseconds
 	spans    spanSet    // traced runs
 	// pairSpans sums the traced spans of the lock pair in progress.
 	pairSpans float64
@@ -185,7 +188,7 @@ func (w *appWorker) leaf() error {
 		err = chanPair(s, w.ch, w)
 	}
 	end := time.Now()
-	w.evs[s.kind] = append(w.evs[s.kind], event{end: end.UnixNano(), lat: float64(end.Sub(t0)) / 1e3})
+	w.lat[s.kind] = append(w.lat[s.kind], float64(end.Sub(t0))/1e3)
 	if w.spans != nil && s.kind == opLock {
 		w.spans.add("pair.lock_spans_ns", w.pairSpans)
 		w.pairSpans = 0
@@ -468,7 +471,7 @@ func runApp(cfg phaseConfig) (*phaseOut, error) {
 		appLockPaths+appChanPaths, fx.stackDepth, appHistorySigs, fx.matched)
 
 	var node *communix.Node
-	for i := 0; i < cfg.setups; i++ {
+	for cfg.setupAgain(out.setup) {
 		if node != nil {
 			node.Close()
 		}
@@ -497,14 +500,19 @@ func runApp(cfg phaseConfig) (*phaseOut, error) {
 		w.ch = ch
 	}
 	ws, elapsed := appMeasure(fx, cfg.measure, plain)
-	lockW, chanW, allW := out.checkApp(ws, node)
-	out.e2e.set("app_ops_per_s", allW.rate, "ops/s")
-	lockW.report(out.e2e, "lock_pair", "us")
-	chanW.report(out.e2e, "chan_pair", "us")
-	out.logf("%d ops in %.2fs, statistics are medians over %d windows", countOps(ws), elapsed.Seconds(), lockW.windows)
+	lockD, chanD := out.checkApp(ws, node)
+	out.e2e.set("app_ops_per_s", float64(lockD.n+chanD.n)/elapsed.Seconds(), "ops/s")
+	out.e2e.set("lock_pair_p50_us", lockD.p50, "us")
+	out.e2e.set("chan_pair_p50_us", chanD.p50, "us")
+	lockD.reportTail(out.e2e, "lock_pair", "us")
+	chanD.reportTail(out.e2e, "chan_pair", "us")
+	out.logf("%d lock pairs (p50 %.1fus, p%d %.1fus) and %d chan pairs (p50 %.1fus, p%d %.1fus) in %.2fs",
+		lockD.n, lockD.p50, lockD.tailP, lockD.tail, chanD.n, chanD.p50, chanD.tailP, chanD.tail, elapsed.Seconds())
 
 	if cfg.trace {
-		if err := appTrace(cfg, out, fx, node, mutexes, ch, lockW.p50); err != nil {
+		out.layers.set("app.lock_pair_samples", float64(lockD.n), "count")
+		out.layers.set("app.chan_pair_samples", float64(chanD.n), "count")
+		if err := appTrace(cfg, out, fx, node, mutexes, ch, lockD.p50); err != nil {
 			return nil, err
 		}
 	}
@@ -536,41 +544,29 @@ func appMeasure(fx *appFixture, d time.Duration, wire func(*appWorker)) ([]*appW
 	return ws, time.Since(t0)
 }
 
-func countOps(ws []*appWorker) int {
-	n := 0
-	for _, w := range ws {
-		n += len(w.evs[opLock]) + len(w.evs[opChan])
-	}
-	return n
-}
-
 // checkApp applies the app phase's correctness gate (no errors, no
-// deadlocks, no yields, every value sent was received) and pools the
-// operations into windowed statistics: lock pairs, chan pairs, all ops.
-func (o *phaseOut) checkApp(ws []*appWorker, node *communix.Node) (lockW, chanW, allW windowStats) {
+// deadlocks, no yields, every value sent was received) and summarizes
+// both workers' lock pairs and chan pairs.
+func (o *phaseOut) checkApp(ws []*appWorker, node *communix.Node) (lockD, chanD dist) {
 	var sent, received int64
-	var lockEv, chanEv []event
+	var lockLat, chanLat samples
 	for _, w := range ws {
-		lockEv = append(lockEv, w.evs[opLock]...)
-		chanEv = append(chanEv, w.evs[opChan]...)
+		lockLat = append(lockLat, w.lat[opLock]...)
+		chanLat = append(chanLat, w.lat[opChan]...)
 		sent += w.sent
 		received += w.received
 		if w.err != nil {
 			o.fail(1, "goroutine %d: %v", w.id, w.err)
 		}
 	}
-	all := append(append([]event(nil), lockEv...), chanEv...)
-	o.attempted += int64(len(all))
-	sortEvents(lockEv)
-	sortEvents(chanEv)
-	sortEvents(all)
+	o.attempted += int64(len(lockLat) + len(chanLat))
 	st, cst := node.Runtime().Stats(), node.ChanRuntime().Stats()
 	o.fail(int64(st.Deadlocks+cst.Deadlocks), "deadlocks detected")
 	o.fail(int64(st.Yields+cst.Yields), "avoidance yields in a workload that never instantiates a signature")
 	if sent != received {
 		o.fail(1, "channel values sent (sum %d) differ from values received (sum %d)", sent, received)
 	}
-	return windowed(lockEv, 99), windowed(chanEv, 99), windowed(all, 50)
+	return summarize(lockLat, 99), summarize(chanLat, 99)
 }
 
 // tracedMutex splits (*Mutex).Lock into the public calls it is made of
@@ -676,7 +672,7 @@ func appTrace(cfg phaseConfig, out *phaseOut, fx *appFixture, node *communix.Nod
 		w.ch = &tracedChan{c: ch, w: w}
 	}
 	ws, _ := appMeasure(fx, cfg.measure, traced)
-	lockW, _, _ := out.checkApp(ws, node)
+	lockD, _ := out.checkApp(ws, node)
 	out.fail(miss, "traced acquisitions whose avoidance-index match differs from the plan")
 	spans := spanSet{}
 	for _, w := range ws {
@@ -701,7 +697,7 @@ func appTrace(cfg phaseConfig, out *phaseOut, fx *appFixture, node *communix.Nod
 	p50 := untracedP50 * 1e3
 	spansPerPair := spans.medianOr("pair.lock_spans_ns")
 	out.layers.set("app.lock_pair_unattributed_ns", p50-spansPerPair, "ns")
-	out.layers.set("app.trace_overhead_pct", 100*(lockW.p50*1e3/p50-1), "%")
+	out.layers.set("app.trace_overhead_pct", 100*(lockD.p50*1e3/p50-1), "%")
 	gid := 4 * spans.medianOr("stacktrace.gid_ns")
 	out.logf("lock pair p50 %.0fns (untraced): %.0fns goroutine ids (%.0f%%), %.0fns captures, "+
 		"%.0fns acquires, %.0fns releases, %.0fns unattributed", p50, gid, 100*gid/p50,

@@ -4,9 +4,9 @@ package main
 //
 // A closed loop of ingestConns raw wire connections drives an
 // in-process server running production defaults — synchronous ADDs, a
-// durable data directory, the daily limit of 10 signatures per user —
-// except for fsync (see ingestFsync), with its Clock pinned to one day
-// so rate-limit verdicts cannot flip at UTC midnight. The data
+// durable data directory with the default batch fsync policy, the daily
+// limit of 10 signatures per user — with its Clock pinned to one day so
+// rate-limit verdicts cannot flip at UTC midnight. The data
 // directory is preloaded with ingestPreload signatures before anything
 // is timed.
 //
@@ -304,16 +304,8 @@ type ingestServer struct {
 	served chan error
 }
 
-// ingestFsync is the measured server's WAL fsync policy. Every commit
-// still reaches the OS (a process crash loses nothing). The default
-// batch policy fsyncs after every 256 KiB, about one ADD in 128, and on
-// the shared virtual disk the benchmark was built on one fsync took
-// 1–4 ms depending on the run: the ADD p99 then measured the disk, not
-// the code, with a spread of 1.2 over four runs.
-const ingestFsync = store.FsyncOff
-
 func startIngestServer(dir string) (*ingestServer, error) {
-	srv, err := server.New(server.Config{Key: benchKey, DataDir: dir, Clock: pinnedClock, Fsync: ingestFsync})
+	srv, err := server.New(server.Config{Key: benchKey, DataDir: dir, Clock: pinnedClock})
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +326,7 @@ func (is *ingestServer) close() error {
 
 // ingestConn is one measuring connection's outcome.
 type ingestConn struct {
-	evs      []event // latency in milliseconds
+	lat      samples // milliseconds
 	mismatch int64
 	busy     int64
 	first    string
@@ -343,7 +335,7 @@ type ingestConn struct {
 
 // drive sends the stream over one connection, closed loop.
 func drive(addr string, stream []addReq) *ingestConn {
-	out := &ingestConn{evs: make([]event, 0, len(stream))}
+	out := &ingestConn{lat: make(samples, 0, len(stream))}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		out.err = err
@@ -363,7 +355,7 @@ func drive(addr string, stream []addReq) *ingestConn {
 			return out
 		}
 		end := time.Now()
-		out.evs = append(out.evs, event{end: end.UnixNano(), lat: float64(end.Sub(t0)) / 1e6})
+		out.lat = append(out.lat, float64(end.Sub(t0))/1e6)
 		if resp.Status == wire.StatusBusy {
 			out.busy++
 		}
@@ -393,7 +385,7 @@ func runIngest(cfg phaseConfig) (*phaseOut, error) {
 	}
 
 	var is *ingestServer
-	for i := 0; i < cfg.setups; i++ {
+	for cfg.setupAgain(out.setup) {
 		if is != nil {
 			if err := is.close(); err != nil {
 				return nil, err
@@ -416,8 +408,8 @@ func runIngest(cfg phaseConfig) (*phaseOut, error) {
 	if rounds < 1 {
 		rounds = 1
 	}
-	var evs []event
-	var rates samples
+	var lat samples
+	var sending time.Duration
 	var busy int64
 	var replay []addReq
 	for k := 0; k < rounds; k++ {
@@ -443,37 +435,36 @@ func runIngest(cfg phaseConfig) (*phaseOut, error) {
 			}(c)
 		}
 		wg.Wait()
-		elapsed := time.Since(t0)
-		n := 0
+		sending += time.Since(t0)
 		for c, co := range conns {
 			if co.err != nil {
 				return nil, fmt.Errorf("connection %d: %w", c, co.err)
 			}
-			evs = append(evs, co.evs...)
-			n += len(co.evs)
+			lat = append(lat, co.lat...)
 			busy += co.busy
 			out.fail(co.mismatch, "connection %d verdicts differ from the plan (first: %s)", c, co.first)
 		}
-		rates = append(rates, float64(n)/elapsed.Seconds())
 	}
-	out.attempted += int64(len(evs))
-	sortEvents(evs)
-	addW := windowed(evs, 99)
-	out.e2e.set("add_per_s", median(rates), "ADDs/s")
-	out.e2e.set("add_p50_ms", addW.p50, "ms")
-	out.logf("preload %d signatures; %d rounds of %d ADDs over %d connections: %d accept, %d duplicate, %d over the daily limit; median signature %.0f bytes; latencies are medians over %d windows, add_per_s over rounds",
-		ingestPreload, rounds, ingestRoundADDs, ingestConns, fx.counts[vAccept], fx.counts[vDuplicate], fx.counts[vOverLimit], median(fx.sigBytes), addW.windows)
+	out.attempted += int64(len(lat))
+	addD := summarize(lat, 99)
+	out.e2e.set("add_per_s", float64(addD.n)/sending.Seconds(), "ADDs/s")
+	out.e2e.set("add_p50_ms", addD.p50, "ms")
+	out.logf("preload %d signatures; %d rounds of %d ADDs over %d connections in %.2fs: %d accept, %d duplicate, %d over the daily limit; median signature %.0f bytes; p50 %.3fms, p%d %.3fms",
+		ingestPreload, rounds, ingestRoundADDs, ingestConns, sending.Seconds(), fx.counts[vAccept], fx.counts[vDuplicate], fx.counts[vOverLimit],
+		median(fx.sigBytes), addD.p50, addD.tailP, addD.tail)
 
 	if err := out.checkIngestLog(addr, fx); err != nil {
 		return nil, err
 	}
 	if cfg.trace {
 		// The ADD tail is reported without a bound: about one ADD in a
-		// hundred waits out an OS scheduler tick (4 ms here), so the p99
-		// flips between ~0.5 ms and ~4 ms from run to run.
-		out.layers.set(fmt.Sprintf("ingest.add_p%d_ms", addW.tailP), addW.tail, "ms")
+		// hundred waits out an OS scheduler tick or a WAL fsync, whose
+		// cost depends on the disk's state, so over ten runs the p99
+		// moved between 0.8 ms and 2.7 ms.
+		addD.reportTail(out.layers, "ingest.add", "ms")
+		out.layers.set("ingest.add_samples", float64(addD.n), "count")
 		out.layers.set("server.busy", float64(busy), "count")
-		if err := ingestTrace(cfg, out, fx, is, replay, addW.p50); err != nil {
+		if err := ingestTrace(cfg, out, fx, is, replay, addD.p50); err != nil {
 			return nil, err
 		}
 	}
@@ -647,7 +638,7 @@ func ingestTrace(cfg phaseConfig, out *phaseOut, fx *ingestFixture, live *ingest
 		return err
 	}
 	t0 := time.Now()
-	st, err := store.Open(store.Config{DataDir: spanDir, Clock: pinnedClock, Fsync: ingestFsync})
+	st, err := store.Open(store.Config{DataDir: spanDir, Clock: pinnedClock})
 	if err != nil {
 		return err
 	}
@@ -774,7 +765,7 @@ func ingestTrace(cfg phaseConfig, out *phaseOut, fx *ingestFixture, live *ingest
 	if err := copyDir(fx.preDir, procDir); err != nil {
 		return err
 	}
-	srv, err := server.New(server.Config{Key: benchKey, DataDir: procDir, Clock: pinnedClock, Fsync: ingestFsync})
+	srv, err := server.New(server.Config{Key: benchKey, DataDir: procDir, Clock: pinnedClock})
 	if err != nil {
 		return err
 	}

@@ -13,13 +13,15 @@
 //   - protect: time-to-protection from a deadlock on node A, through a
 //     quorum-acknowledged 3-member cell, to node B's validated history.
 //
-// The workload names the phase that gets 40% of the measured time,
-// whose set-up is repeated for setup_s and whose live heap is heap_mb;
-// the other two phases get 30% each. With --trace 1 the run prints
-// the per-layer metrics instead: each phase is run once untraced and once
-// with spans timed around calls into the modules' public functions, and
-// the blocking-path spans plus an explicit unattributed residual sum to
-// the untraced median.
+// Every run measures the phases in one fixed order, each for a third of
+// the measured time, so an end-to-end metric is measured the same way
+// whichever workload is run. The workload names the phase whose set-up
+// is repeated for setup_s and whose live heap is heap_mb.
+//
+// With --trace 1 the run prints the per-layer metrics instead: each
+// phase is run once untraced and once with spans timed around calls into
+// the modules' public functions, and the blocking-path spans plus an
+// explicit unattributed residual sum to the untraced median.
 package main
 
 import (
@@ -37,7 +39,7 @@ type phaseConfig struct {
 	seed    int64
 	dir     string        // private working directory
 	measure time.Duration // measured time budget
-	setups  int           // how many times set-up is repeated and timed
+	focus   bool          // the workload's phase: set-up is repeated for setup_s
 	trace   bool
 }
 
@@ -73,25 +75,40 @@ var phases = map[string]phaseFunc{
 	"protect": runProtect,
 }
 
-// phaseOrder runs the companions first and the focus phase last, so the
-// focus phase's live heap is measured with nothing else alive. The app
-// phase, which times microsecond-scale CPU work, never runs first: over
-// ten runs, an app phase that ran first in its process spread 2-3x
-// wider than one that ran last (likely the kernel still retiring the
-// previous run's data directories).
-func phaseOrder(focus string) []string {
-	order := []string{}
-	for _, name := range []string{"ingest", "protect", "app"} {
-		if name != focus {
-			order = append(order, name)
-		}
-	}
-	return append(order, focus)
-}
+// phaseOrder is the order every run measures the phases in. The app
+// phase, which times microsecond-scale CPU work, runs last: over ten
+// runs, an app phase that ran first in its process spread 2-3x wider
+// than one that ran last (likely the kernel still retiring the previous
+// run's data directories).
+var phaseOrder = []string{"ingest", "protect", "app"}
 
-// focusSetups is how many times the focus phase repeats its set-up;
-// setup_s is their median.
-const focusSetups = 3
+// The focus phase repeats its set-up at least focusSetups times, and a
+// cheap set-up until setupBudget is spent (at most maxSetups times):
+// setup_s is the median, and a median of three 50 ms set-ups spread by
+// a third from run to run.
+const (
+	focusSetups = 3
+	maxSetups   = 25
+	setupBudget = time.Second
+)
+
+// setupAgain reports whether the phase times its set-up once more,
+// given the set-up times (seconds) taken so far.
+func (c phaseConfig) setupAgain(done samples) bool {
+	switch {
+	case !c.focus:
+		return len(done) == 0
+	case len(done) < focusSetups:
+		return true
+	case len(done) >= maxSetups:
+		return false
+	}
+	total := 0.0
+	for _, s := range done {
+		total += s
+	}
+	return total < setupBudget.Seconds()
+}
 
 type result struct {
 	Correct   bool    `json:"correct"`
@@ -148,23 +165,18 @@ func run(focus string, seed int64, measure time.Duration, trace bool, workdir st
 
 	res := result{Metrics: metrics{}}
 	layers := metrics{}
-	for i, name := range phaseOrder(focus) {
-		share := measure * 3 / 10
-		setups := 1
-		if name == focus {
-			share = measure * 4 / 10
-			setups = focusSetups
-		}
+	for i, name := range phaseOrder {
 		cfg := phaseConfig{
 			seed:    seed*7919 + int64(i),
 			dir:     fmt.Sprintf("%s/%s", dir, name),
-			measure: share,
-			setups:  setups,
+			measure: measure / time.Duration(len(phaseOrder)),
+			focus:   name == focus,
 			trace:   trace,
 		}
 		if err := os.MkdirAll(cfg.dir, 0o755); err != nil {
 			return res, report, err
 		}
+		t0 := time.Now()
 		out, err := phases[name](cfg)
 		if err != nil {
 			return res, report, fmt.Errorf("%s: %w", name, err)
@@ -172,11 +184,15 @@ func run(focus string, seed int64, measure time.Duration, trace bool, workdir st
 		for _, line := range out.report {
 			report = append(report, name+": "+line)
 		}
+		report = append(report, fmt.Sprintf("%s: phase took %.1fs", name, since(t0)))
 		res.Attempted += out.attempted
 		res.Failed += out.failed
 		res.Metrics.merge(out.e2e)
 		layers.merge(out.layers)
 		if name == focus {
+			asc := out.setup.sorted()
+			report = append(report, fmt.Sprintf("%s: setup_s is the median of %d set-ups (%.4fs to %.4fs)",
+				name, len(asc), asc[0], asc[len(asc)-1]))
 			res.Metrics.set("setup_s", median(out.setup), "s")
 			res.Metrics.set("heap_mb", out.heapMB, "MiB")
 		}

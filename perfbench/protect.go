@@ -511,8 +511,8 @@ func (pr *protectRun) deadlock(tr trap, tid dimmunix.ThreadID) error {
 
 // window runs one open-loop window of ticks. It returns every tick's
 // due and install times (installed is zero for a tick B never
-// protected), the generator's lateness in ms, and B's replay events.
-func (pr *protectRun) window(ticks []trap) (res []pendingTick, late samples, replays []event) {
+// protected), the generator's lateness in ms, and B's replay bursts.
+func (pr *protectRun) window(ticks []trap) (res []pendingTick, late, replays samples) {
 	pr.mu.Lock()
 	pr.histB = pr.nodeB.History()
 	pr.pending = map[int]*pendingTick{}
@@ -522,7 +522,7 @@ func (pr *protectRun) window(ticks []trap) (res []pendingTick, late samples, rep
 	pr.mu.Unlock()
 
 	var stopReplay atomic.Bool
-	replayDone := make(chan []event, 1)
+	replayDone := make(chan samples, 1)
 	go func() { replayDone <- pr.replayB(&stopReplay) }()
 
 	interval := time.Second / protectRate
@@ -598,9 +598,8 @@ const (
 )
 
 // replayB replays lock paths on B (one goroutine, nested acquisitions)
-// until stop is set, and returns one event per burst whose latency is
-// the burst's duration in microseconds.
-func (pr *protectRun) replayB(stop *atomic.Bool) []event {
+// until stop is set, and returns each burst's duration in microseconds.
+func (pr *protectRun) replayB(stop *atomic.Bool) samples {
 	var paths []bytecode.LockPath
 	for _, tr := range pr.fx.traps {
 		paths = append(paths, tr.p, tr.q)
@@ -608,7 +607,7 @@ func (pr *protectRun) replayB(stop *atomic.Bool) []event {
 	rt := pr.nodeB.Runtime()
 	outer, inner := rt.NewLock("replay-outer"), rt.NewLock("replay-inner")
 	const tid = dimmunix.ThreadID(1 << 40)
-	var evs []event
+	var bursts samples
 	for i := 0; !stop.Load(); {
 		t0 := time.Now()
 		for end := i + replayBatch; i < end; i++ {
@@ -624,11 +623,10 @@ func (pr *protectRun) replayB(stop *atomic.Bool) []event {
 				pr.tickFails.Add(1)
 			}
 		}
-		t1 := time.Now()
-		evs = append(evs, event{end: t1.UnixNano(), lat: float64(t1.Sub(t0)) / 1e3})
+		bursts = append(bursts, float64(time.Since(t0))/1e3)
 		time.Sleep(replayIdle)
 	}
-	return evs
+	return bursts
 }
 
 // replayTrap runs trap tr on B: thread 1 takes its outer lock, thread 2
@@ -689,7 +687,7 @@ func runProtect(cfg phaseConfig) (*phaseOut, error) {
 	pr := &protectRun{fx: fx, dir: cfg.dir, tidBase: 1000}
 	defer pr.close()
 	var catchups samples
-	for i := 0; i < cfg.setups; i++ {
+	for i := 0; cfg.setupAgain(out.setup); i++ {
 		if i > 0 {
 			pr.close()
 		}
@@ -707,34 +705,35 @@ func runProtect(cfg phaseConfig) (*phaseOut, error) {
 		2*len(fx.traps)+2*len(fx.valid), protectPreload, protectValidPre, median(out.setup), median(catchups))
 
 	_, ttpU, lateU, opsU := pr.measureWindow(out, fx.traps[:perWindow])
-	// The median is taken over windows; the tail needs every sample.
-	ttpMid, ttpTail := windowed(ttpU, 50), windowed(ttpU, 99)
-	out.e2e.set("ttp_p50_ms", ttpMid.p50, "ms")
+	ttpD := summarize(ttpU, 99)
+	out.e2e.set("ttp_p50_ms", ttpD.p50, "ms")
 	if cfg.trace {
 		// The tail is reported without a bound: about one tick in twenty
 		// lands in a garbage-collection mark phase or a scheduler stall,
 		// so the p95 sits on the edge of that population and moved by a
 		// third from run to run.
-		out.layers.set(fmt.Sprintf("protect.ttp_p%d_ms", ttpTail.tailP), ttpTail.tail, "ms")
+		ttpD.reportTail(out.layers, "protect.ttp", "ms")
+		out.layers.set("protect.ttp_samples", float64(ttpD.n), "count")
 		// So is B's replay rate, a sub-microsecond CPU loop interleaved
 		// with the pipeline, whose ten-run spread reached 0.31.
 		out.layers.set("protect.replay_ops_per_s", opsU, "ops/s")
 	}
 	p, v, _ := tail(lateU.sorted(), 99)
-	out.logf("%d detections at %d/s: generator lateness p%d %.3fms, max %.3fms", len(ttpU), protectRate, p, v, percentile(lateU.sorted(), 100))
+	out.logf("%d detections at %d/s: ttp p50 %.3fms, p%d %.3fms; generator lateness p%d %.3fms, max %.3fms",
+		ttpD.n, protectRate, ttpD.p50, ttpD.tailP, ttpD.tail, p, v, percentile(lateU.sorted(), 100))
 
 	if cfg.trace {
 		pr.st = newStamps()
 		// The taps ride the Dial hooks, so the traced window runs on a
 		// fresh cell and fresh nodes.
 		pr.close()
-		if _, _, err := pr.start(cfg.setups); err != nil {
+		if _, _, err := pr.start(len(out.setup)); err != nil {
 			return nil, err
 		}
 		if err := pr.startA(); err != nil {
 			return nil, err
 		}
-		if err := protectTrace(out, pr, fx.traps[perWindow:], ttpMid.p50, catchups); err != nil {
+		if err := protectTrace(out, pr, fx.traps[perWindow:], ttpD.p50, catchups); err != nil {
 			return nil, err
 		}
 	}
@@ -754,9 +753,9 @@ func runProtect(cfg phaseConfig) (*phaseOut, error) {
 
 // measureWindow runs one window and applies its correctness gates. It
 // returns the measured ticks (the warm-up ones dropped), their
-// time-to-protection in ms keyed by install time, the generator's
+// time-to-protection in ms, the generator's
 // lateness and B's replay rate.
-func (pr *protectRun) measureWindow(out *phaseOut, ticks []trap) (res []pendingTick, ttp []event, late samples, opsPerS float64) {
+func (pr *protectRun) measureWindow(out *phaseOut, ticks []trap) (res []pendingTick, ttp, late samples, opsPerS float64) {
 	before := pr.tickFails.Load()
 	res, late, replays := pr.window(ticks)
 	out.attempted += int64(len(ticks)) + int64(len(replays))*replayBatch
@@ -767,13 +766,16 @@ func (pr *protectRun) measureWindow(out *phaseOut, ticks []trap) (res []pendingT
 		case !p.done:
 			missing++
 		case i >= protectWarmup:
-			ttp = append(ttp, event{end: p.installed.UnixNano(), lat: float64(p.installed.Sub(p.due)) / 1e6})
+			ttp = append(ttp, float64(p.installed.Sub(p.due))/1e6)
 		}
 	}
 	out.fail(int64(missing), "detected signatures never installed on B")
-	sortEvents(ttp)
-	// B's rate while replaying: paths per second within a burst.
-	return res[protectWarmup:], ttp, late[protectWarmup:], replayBatch / (windowed(replays, 50).p50 / 1e6)
+	// B's rate while replaying: paths per second of burst time.
+	busy := 0.0
+	for _, us := range replays {
+		busy += us
+	}
+	return res[protectWarmup:], ttp, late[protectWarmup:], float64(len(replays)*replayBatch) / (busy / 1e6)
 }
 
 // protectTrace runs a traced window on a fresh cell and derives the
@@ -840,7 +842,7 @@ func protectTrace(out *phaseOut, pr *protectRun, ticks []trap, untracedP50 float
 	}
 	out.layers.set("client.upload_ms", median(sp["client.upload_ms"]), "ms")
 	out.layers.set("protect.ttp_unattributed_ms", p50-sum, "ms")
-	out.layers.set("protect.trace_overhead_pct", 100*(windowed(ttpT, 50).p50/p50-1), "%")
+	out.layers.set("protect.trace_overhead_pct", 100*(median(ttpT)/p50-1), "%")
 	out.logf("%s unattributed %.3f (%.0f%%); upload with quorum ack %.3fms", line, p50-sum, 100*(p50-sum)/p50, median(sp["client.upload_ms"]))
 	return protectProbes(out, pr, len(ticks))
 }

@@ -73,7 +73,7 @@ func TestSmoke(t *testing.T) {
 		})
 	}
 	t.Run("trace", func(t *testing.T) {
-		res, report, err := run("protect", 4, 2*time.Second, true, t.TempDir())
+		res, report, err := run("protect", 4, 3*time.Second, true, t.TempDir())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -64,115 +64,31 @@ func tail(asc samples, want int) (p int, v float64, ok bool) {
 	return 0, math.NaN(), false
 }
 
-// maxWindows caps how many consecutive windows a phase's operations are
-// split into; windowBeyond is how many samples a window aims to hold
-// beyond the wanted percentile.
-const (
-	maxWindows   = 12
-	windowBeyond = 3 * minBeyond
-)
-
-// event is one completed operation: when it completed (Unix ns) and
-// its latency in the metric's unit.
-type event struct {
-	end int64
-	lat float64
+// dist is the exact distribution summary of one metric's raw samples:
+// the sample count, the nearest-rank median, and the highest percentile
+// at or below the wanted one that has minBeyond samples above it.
+type dist struct {
+	n     int
+	p50   float64
+	tailP int // 0 when not even the median is supported
+	tail  float64
 }
 
-// sortEvents orders events by completion time.
-func sortEvents(evs []event) {
-	sort.Slice(evs, func(i, j int) bool { return evs[i].end < evs[j].end })
+func summarize(s samples, want int) dist {
+	asc := s.sorted()
+	d := dist{n: len(asc), p50: percentile(asc, 50)}
+	if p, v, ok := tail(asc, want); ok {
+		d.tailP, d.tail = p, v
+	}
+	return d
 }
 
-// windowStats reports a stream of operations robustly against bursts of
-// machine noise: the events, in completion order, are split into up to
-// maxWindows consecutive windows of equal count, each holding about
-// windowBeyond samples beyond the wanted tail percentile (one window
-// when there are fewer), and every statistic is the median
-// over the windows of its per-window value. The tail is the highest
-// percentile at or below want that every window supports. rate is
-// operations per second; it needs at least two windows' worth of events.
-type windowStats struct {
-	windows int
-	rate    float64
-	p50     float64
-	tailP   int
-	tail    float64
-}
-
-func windowed(evs []event, want int) windowStats {
-	var ws windowStats
-	if len(evs) < 2 {
-		return ws
-	}
-	need := 1
-	for _, level := range tailLevels {
-		if level <= want {
-			// A window holds windowBeyond samples beyond the wanted
-			// percentile, so its tail does not rest on a handful.
-			need = windowBeyond * 100 / (100 - level)
-			break
-		}
-	}
-	k := len(evs) / need
-	if k > maxWindows {
-		k = maxWindows
-	}
-	if k < 1 {
-		k = 1
-	}
-	ws.windows = k
-	size := len(evs) / k
-	var rates, p50s, tails samples
-	tailP := 100
-	for w := 0; w < k; w++ {
-		win := evs[w*size : (w+1)*size]
-		lat := make(samples, len(win))
-		for i, e := range win {
-			lat[i] = e.lat
-		}
-		asc := lat.sorted()
-		p50s = append(p50s, percentile(asc, 50))
-		if p, _, ok := tail(asc, want); ok && p < tailP {
-			tailP = p
-		}
-		// A window's rate spans from the previous window's last
-		// completion (or its own first) to its last completion.
-		from := win[0].end
-		if w > 0 {
-			from = evs[w*size-1].end
-		}
-		if span := win[len(win)-1].end - from; span > 0 {
-			n := len(win)
-			if w == 0 {
-				n--
-			}
-			rates = append(rates, float64(n)/(float64(span)/1e9))
-		}
-	}
-	for w := 0; w < k; w++ {
-		lat := make(samples, size)
-		for i, e := range evs[w*size : (w+1)*size] {
-			lat[i] = e.lat
-		}
-		tails = append(tails, percentile(lat.sorted(), tailP))
-	}
-	ws.p50, ws.tailP, ws.tail = median(p50s), tailP, median(tails)
-	if len(rates) > 0 {
-		ws.rate = median(rates)
-	}
-	return ws
-}
-
-// report adds "<prefix>_p50_<unit>" and the tail metric
-// "<prefix>_p<P>_<unit>" from windowed statistics. When the events do
-// not support the wanted percentile the tail is reported under the name
-// of the highest percentile they do support, so a short run never
+// reportTail adds the tail as "<prefix>_p<P>_<unit>", named by the
+// level the samples support, so a run with too few samples never
 // passes off a thin tail as a p99.
-func (ws windowStats) report(m metrics, prefix, unit string) {
-	m.set(fmt.Sprintf("%s_p50_%s", prefix, unit), ws.p50, unit)
-	if ws.tailP > 50 && ws.tailP < 100 {
-		m.set(fmt.Sprintf("%s_p%d_%s", prefix, ws.tailP, unit), ws.tail, unit)
+func (d dist) reportTail(m metrics, prefix, unit string) {
+	if d.tailP > 50 {
+		m.set(fmt.Sprintf("%s_p%d_%s", prefix, d.tailP, unit), d.tail, unit)
 	}
 }
 

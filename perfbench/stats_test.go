@@ -3,7 +3,6 @@ package main
 import (
 	"math"
 	"testing"
-	"time"
 )
 
 func seq(n int) samples {
@@ -62,51 +61,38 @@ func TestTailNeedsTenSamplesBeyond(t *testing.T) {
 	}
 }
 
-func events(lats samples, every time.Duration) []event {
-	evs := make([]event, len(lats))
-	for i, l := range lats {
-		evs[i] = event{end: int64(i+1) * int64(every), lat: l}
+func TestSummarizeIsExactOverAllSamples(t *testing.T) {
+	// 24000 samples i%3000+1, the first 3000 of them 50 times slower:
+	// seven copies of 1..3000 and one of 50, 100, ..., 150000.
+	lat := make(samples, 24000)
+	for i := range lat {
+		lat[i] = float64(i%3000 + 1)
 	}
-	return evs
-}
-
-func TestWindowedMediansAndNames(t *testing.T) {
-	// 24000 ops at 1000/s, latency i%3000+1: every 3000-op window is
-	// 1..3000, so its p50 is 1500 and its p99 2970.
-	lats := make(samples, 24000)
-	for i := range lats {
-		lats[i] = float64(i%3000 + 1)
+	// A burst confined to an eighth of the run lies within the top 12.5%
+	// of all samples: it must reach the p99, unlike a median of
+	// per-window percentiles, which would hide it.
+	for i := 0; i < 3000; i++ {
+		lat[i] *= 50
 	}
-	ws := windowed(events(lats, time.Millisecond), 99)
-	if ws.windows != 8 || ws.tailP != 99 || ws.p50 != 1500 || ws.tail != 2970 {
-		t.Fatalf("windowed = %+v", ws)
+	d := summarize(lat, 99)
+	// The 12000th smallest: 7*1710 + 1710/50 = 12004 samples are <= 1710.
+	if d.n != 24000 || d.tailP != 99 || d.p50 != 1710 {
+		t.Errorf("summary = %+v", d)
 	}
-	if math.Abs(ws.rate-1000) > 1e-6 {
-		t.Errorf("rate %v, want 1000/s", ws.rate)
+	if d.tail <= 3000 {
+		t.Errorf("p99 %v hides the burst", d.tail)
 	}
 	m := metrics{}
-	ws.report(m, "x", "us")
-	if _, ok := m["x_p99_us"]; !ok || len(m) != 2 {
-		t.Errorf("report = %v", m)
+	d.reportTail(m, "x", "us")
+	if m["x_p99_us"].Value != d.tail || len(m) != 1 {
+		t.Errorf("reportTail = %v", m)
 	}
 
-	// One noisy window out of eight moves no median.
-	noisy := append(samples(nil), lats...)
-	for i := 0; i < 3000; i++ {
-		noisy[i] *= 50
-	}
-	if got := windowed(events(noisy, time.Millisecond), 99); got.p50 != 1500 || got.tail != 2970 {
-		t.Errorf("a noisy window moved the medians: %+v", got)
-	}
-
-	// 300 samples cannot carry a p99: one window, named p95.
-	short := windowed(events(seq(300), time.Millisecond), 99)
+	// 300 samples cannot carry a p99: the tail is named p95.
+	short := summarize(seq(300), 99)
 	m = metrics{}
-	short.report(m, "ttp", "ms")
-	if short.windows != 1 || short.tailP != 95 {
-		t.Errorf("short = %+v", short)
-	}
-	if _, ok := m["ttp_p95_ms"]; !ok {
-		t.Errorf("short report = %v", m)
+	short.reportTail(m, "ttp", "ms")
+	if short.n != 300 || short.tailP != 95 || m["ttp_p95_ms"].Value != 285 {
+		t.Errorf("short = %+v, report %v", short, m)
 	}
 }
