@@ -7,6 +7,7 @@ package cmd_test
 import (
 	"bytes"
 	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"net"
 	"os"
@@ -41,22 +42,48 @@ func (b *lockedBuffer) String() string {
 	return b.buf.String()
 }
 
-// buildAll compiles every command once per test binary.
+// Binaries built by buildAll, shared by every test in this binary and
+// removed by TestMain.
+var (
+	binOnce sync.Once
+	binDir  string
+	binErr  error
+)
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if binDir != "" {
+		os.RemoveAll(binDir)
+	}
+	os.Exit(code)
+}
+
+// buildAll compiles every command once per test binary, in a single go
+// build, and returns the directory holding the executables.
 func buildAll(t *testing.T) string {
 	t.Helper()
 	if testing.Short() {
 		t.Skip("skipping binary smoke tests in -short mode")
 	}
-	dir := t.TempDir()
-	for _, name := range []string{"communix-server", "communix-client", "communix-agent", "communix-bench", "communix-inspect"} {
-		out := filepath.Join(dir, name)
-		cmd := exec.Command("go", "build", "-o", out, "communix/cmd/"+name)
+	binOnce.Do(func() {
+		binDir, binErr = os.MkdirTemp("", "communix-cmd-test-")
+		if binErr != nil {
+			return
+		}
+		args := []string{"build", "-o", binDir + string(filepath.Separator)}
+		for _, name := range []string{"communix-server", "communix-client", "communix-agent", "communix-bench", "communix-inspect"} {
+			args = append(args, "communix/cmd/"+name)
+		}
+		cmd := exec.Command("go", args...)
 		cmd.Dir = repoRoot(t)
 		if msg, err := cmd.CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", name, err, msg)
+			binErr = fmt.Errorf("go build: %v\n%s", err, msg)
 		}
+	})
+	if binErr != nil {
+		t.Fatal(binErr)
 	}
-	return dir
+	return binDir
 }
 
 func repoRoot(t *testing.T) string {
@@ -328,14 +355,18 @@ func TestBenchPersistExperiment(t *testing.T) {
 func TestBenchRuntimeExperiment(t *testing.T) {
 	bin := buildAll(t)
 	jsonPath := filepath.Join(t.TempDir(), "runtime.json")
+	// Smoke scale, as in CI: the sweep's logic is unit-tested in
+	// internal/bench, so this only checks the binary's wiring.
 	cmd := exec.Command(filepath.Join(bin, "communix-bench"),
-		"-experiment", "runtime", "-runtime-json", jsonPath)
+		"-experiment", "runtime", "-runtime-json", jsonPath,
+		"-runtime-goroutines", "2", "-runtime-ops", "2000",
+		"-swap-rates", "0,1000", "-swap-held", "4")
 	msg, err := cmd.CombinedOutput()
 	if err != nil {
 		t.Fatalf("bench runtime: %v\n%s", err, msg)
 	}
 	out := string(msg)
-	for _, want := range []string{"sharded matched path", "goroutines", "vs-global"} {
+	for _, want := range []string{"sharded runtime vs global-mutex reference", "goroutines", "vs-ref", "incremental delta refresh under churn"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("bench runtime output missing %q:\n%s", want, out)
 		}
@@ -344,8 +375,10 @@ func TestBenchRuntimeExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatalf("runtime JSON not written: %v", err)
 	}
-	if !strings.Contains(string(data), "runtime-sharded-sweep") {
-		t.Errorf("runtime JSON:\n%s", data)
+	for _, want := range []string{"runtime-sharded-sweep", `"hot_swap"`} {
+		if !strings.Contains(string(data), want) {
+			t.Errorf("runtime JSON missing %q:\n%s", want, data)
+		}
 	}
 }
 

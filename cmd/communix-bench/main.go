@@ -13,18 +13,17 @@
 // applications; expect minutes). The default quick scale preserves every
 // qualitative shape.
 //
-// The store experiment sweeps contended ADD/GET throughput over the
-// single-lock baseline and the sharded store; -store-json additionally
+// The store experiment sweeps contended ADD/GET throughput of the
+// sharded store over worker counts; -store-json additionally
 // writes the sweep as JSON (the committed BENCH_store.json). The persist
 // experiment sweeps batched ingestion throughput into a durable store
 // across the WAL fsync policies (plus the in-memory baseline);
 // -persist-json writes the committed BENCH_persist.json. The runtime
 // experiment sweeps the client-side acquisition hot path (goroutines ×
-// history size × match rate) across three modes — all-slow reference,
-// global-mutex matched path, and the sharded matched path — and then
-// the history hot-swap surface (swaps/sec × goroutines × match rate,
-// -swap-rates/-swap-held to scope) across the incremental delta
-// refresh and the forced full rebuild; -runtime-json writes the
+// history size × match rate) across two modes — all-slow reference and
+// the sharded runtime — and then the history hot-swap surface
+// (swaps/sec × goroutines × match rate, -swap-rates/-swap-held to
+// scope) under the incremental delta refresh; -runtime-json writes the
 // committed BENCH_runtime.json. The e2e
 // experiment spawns -e2e-workers protected worker processes (this
 // binary re-executed with -experiment e2e-worker) plus a local server
@@ -33,9 +32,8 @@
 // drives a trace-shaped upload load (steady/ramp/step RPS curves plus
 // churn storms) against one server while a fleet of in-process
 // subscriber clients measures the sessions × throughput ×
-// distribution-latency surface across the pooled and per-session
-// pusher architectures; -fleet-json writes the committed
-// BENCH_fleet.json.
+// distribution-latency surface of the pooled pusher; -fleet-json
+// writes the committed BENCH_fleet.json.
 package main
 
 import (
@@ -77,9 +75,7 @@ func run() int {
 	e2eTimeout := flag.Int("e2e-timeout", 0, "e2e: run deadline in seconds (0 = default)")
 	chanJSON := flag.String("chan-json", "", "chan experiment: also write the time-to-protection result to this JSON file")
 	fleetJSON := flag.String("fleet-json", "", "fleet experiment: also write results to this JSON file")
-	fleetMode := flag.String("fleet-mode", "both", "fleet: pusher architecture under test: pooled|baseline|both")
-	fleetSubs := flag.String("fleet-subs", "", "fleet: pooled-mode subscriber counts, comma-separated (default quick \"50,200\")")
-	fleetBaseSubs := flag.String("fleet-baseline-subs", "", "fleet: baseline-mode subscriber counts (default quick \"50\")")
+	fleetSubs := flag.String("fleet-subs", "", "fleet: subscriber counts, comma-separated (default quick \"50,200\")")
 	fleetRPS := flag.Float64("fleet-rps", 0, "fleet: target upload RPS (0 = default 300)")
 	fleetProfile := flag.String("fleet-profile", "steady", "fleet: load profile: steady|ramp|step")
 	fleetSlots := flag.Int("fleet-slots", 0, "fleet: trace slots (0 = default 8)")
@@ -418,29 +414,9 @@ func run() int {
 	if *experiment == "fleet" || *experiment == "all" {
 		ran = true
 		traceCfg := fleetTraceCfg()
-		pooledCounts, err := parseCounts(*fleetSubs, []int{50, 200})
+		counts, err := parseCounts(*fleetSubs, []int{50, 200})
 		if err != nil {
 			return fail("fleet", err)
-		}
-		baseCounts, err := parseCounts(*fleetBaseSubs, []int{50})
-		if err != nil {
-			return fail("fleet", err)
-		}
-		var modes []string
-		counts := map[string][]int{}
-		switch *fleetMode {
-		case "pooled":
-			modes = []string{bench.FleetModePooled}
-			counts[bench.FleetModePooled] = pooledCounts
-		case "baseline":
-			modes = []string{bench.FleetModeBaseline}
-			counts[bench.FleetModeBaseline] = baseCounts
-		case "both":
-			modes = []string{bench.FleetModePooled, bench.FleetModeBaseline}
-			counts[bench.FleetModePooled] = pooledCounts
-			counts[bench.FleetModeBaseline] = baseCounts
-		default:
-			return fail("fleet", fmt.Errorf("unknown -fleet-mode %q", *fleetMode))
 		}
 		surface, err := bench.FleetSurface(traceCfg, bench.FleetConfig{
 			Transport:  *fleetTransport,
@@ -450,7 +426,7 @@ func run() int {
 			TimeoutSec: *fleetTimeout,
 			Repeat:     *fleetRepeat,
 			Replicas:   *fleetReplicas,
-		}, modes, counts)
+		}, counts)
 		if err != nil {
 			return fail("fleet", err)
 		}
@@ -465,7 +441,7 @@ func run() int {
 		// a fleet that never converged is a failed experiment.
 		for _, c := range surface.Cells {
 			if c.GapErrors > 0 || !c.Quiesced {
-				return fail("fleet", fmt.Errorf("%s/%d: gaps=%d quiesced=%v", c.Mode, c.Subscribers, c.GapErrors, c.Quiesced))
+				return fail("fleet", fmt.Errorf("%d subscribers: gaps=%d quiesced=%v", c.Subscribers, c.GapErrors, c.Quiesced))
 			}
 		}
 	}

@@ -58,7 +58,7 @@ func run() int {
 	fsync := flag.String("fsync", "batch", "WAL fsync policy: always|batch|off (with -data-dir)")
 	getBatch := flag.Int("get-batch", 0, "signatures per GET/PUSH page (0 = protocol max 256)")
 	pushLag := flag.Int("push-lag", 0, "subscriber lag before downgrade to catch-up GETs (0 = 4×get-batch)")
-	pushers := flag.Int("pushers", 0, "pooled pusher workers (0 = GOMAXPROCS, negative = per-session pushers)")
+	pushers := flag.Int("pushers", 0, "pooled pusher workers (0 = GOMAXPROCS)")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent v2 session cap; surplus HELLOs downgrade to v1 polling (0 = unlimited)")
 	maxSubs := flag.Int("max-subs", 0, "push-admitted subscriber cap; surplus subscribers shed to catch-up GETs (0 = unlimited)")
 	follow := flag.String("follow", "", "run as a follower replica of the primary at this address (SIGUSR1 promotes to primary)")

@@ -169,8 +169,7 @@ type ServerConfig struct {
 	PushMaxLag int
 	// Pushers sizes the pooled pusher subsystem: that many shared worker
 	// goroutines drive every subscriber's push cursor. 0 = GOMAXPROCS;
-	// negative selects the baseline one-pusher-goroutine-per-session
-	// architecture (for comparison runs).
+	// negative is rejected.
 	Pushers int
 	// MaxSessions caps concurrent v2 sessions; surplus HELLOs are
 	// downgraded to v1 poll mode. 0 = unlimited.

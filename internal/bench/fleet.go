@@ -37,16 +37,6 @@ import (
 	"math/rand"
 )
 
-// Fleet pusher architectures.
-const (
-	// FleetModePooled uses the pooled pusher subsystem (the default
-	// server architecture).
-	FleetModePooled = "pooled"
-	// FleetModeBaseline uses one dedicated pusher goroutine per session
-	// (the pre-pool architecture, kept runnable for comparison).
-	FleetModeBaseline = "baseline"
-)
-
 // DefaultFleetSLO is the distribution-latency budget a cell must meet
 // at p99 to count as sustained.
 const DefaultFleetSLO = 250 * time.Millisecond
@@ -117,11 +107,9 @@ func (l *pipeListener) Dial() (net.Conn, error) {
 	}
 }
 
-// FleetConfig parameterizes one fleet cell: one mode at one subscriber
-// count under one trace.
+// FleetConfig parameterizes one fleet cell: one subscriber count under
+// one trace.
 type FleetConfig struct {
-	// Mode is FleetModePooled (default) or FleetModeBaseline.
-	Mode string
 	// Transport is FleetTransportTCP (default) or FleetTransportPipe.
 	Transport string
 	// Subscribers is the long-lived measured subscriber population
@@ -133,8 +121,7 @@ type FleetConfig struct {
 	GetBatch   int
 	PushMaxLag int
 	MaxSubs    int
-	// Pushers sizes the pool in pooled mode (0 = GOMAXPROCS); ignored
-	// in baseline mode, which always runs one pusher per session.
+	// Pushers sizes the server's pusher pool (0 = GOMAXPROCS).
 	Pushers int
 	// Replicas runs this many follower replicas (server.Config.FollowDial
 	// over the cell's transport) and spreads the measured subscribers and
@@ -169,16 +156,14 @@ type FleetConfig struct {
 
 // FleetCellResult is one cell of the fleet surface.
 type FleetCellResult struct {
-	Mode        string `json:"mode"`
 	Transport   string `json:"transport"`
 	Pacing      string `json:"pacing"`
 	Subscribers int    `json:"subscribers"`
 	// Replicas is the follower count serving the subscribers (0 = the
 	// primary serves them directly).
 	Replicas int `json:"replicas"`
-	// PusherWorkers is the pool size driving all subscribers (pooled),
-	// or equal to Subscribers (baseline: one pusher goroutine each) —
-	// the "goroutines spent pushing" axis of the scaling claim.
+	// PusherWorkers is the pool size driving all subscribers — the
+	// "goroutines spent pushing" axis of the scaling claim.
 	PusherWorkers int `json:"pusher_workers"`
 	// OfferedRPS is the trace's upload rate; AchievedRPS what the loader
 	// actually sustained (lower = the server applied backpressure).
@@ -207,13 +192,13 @@ type FleetCellResult struct {
 	GoroutinesConnected  int `json:"goroutines_connected"`
 	GoroutinesSubscribed int `json:"goroutines_subscribed"`
 	// GoroutinesPerSession is (connected−base)/Subscribers: the
-	// per-session goroutine cost on the server (+ the accept machinery).
-	// Pooled ≈ 2 (reader+writer); baseline ≈ 3 (+dedicated pusher).
+	// per-session goroutine cost on the server (+ the accept machinery):
+	// ≈ 2 (reader+writer).
 	GoroutinesPerSession float64 `json:"goroutines_per_session"`
 	// SubscribeGoroutineDelta is (subscribed−connected) minus the fleet's
 	// own reader goroutines: what SUBSCRIBing every client added on the
-	// server. Flat (≈0) in both modes — pushers exist before SUBSCRIBE —
-	// but reported so the flatness is measured, not assumed.
+	// server. Flat (≈0) — pushers exist before SUBSCRIBE — but reported
+	// so the flatness is measured, not assumed.
 	SubscribeGoroutineDelta int `json:"subscribe_goroutine_delta"`
 	// Quiesced: every measured subscriber converged to the full log
 	// within the timeout.
@@ -536,18 +521,10 @@ func (cp *churnPool) closeAll() {
 	cp.wg.Wait()
 }
 
-// Fleet runs one fleet cell: a server in the configured pusher mode, a
-// measured subscriber population, churn per the trace, and a paced
-// upload loader; it reports the cell's throughput/latency/goroutine
-// outcome.
+// Fleet runs one fleet cell: a server, a measured subscriber population,
+// churn per the trace, and a paced upload loader; it reports the cell's
+// throughput/latency/goroutine outcome.
 func Fleet(cfg FleetConfig) (FleetCellResult, error) {
-	mode := cfg.Mode
-	if mode == "" {
-		mode = FleetModePooled
-	}
-	if mode != FleetModePooled && mode != FleetModeBaseline {
-		return FleetCellResult{}, fmt.Errorf("bench: fleet: unknown mode %q", mode)
-	}
 	transport := cfg.Transport
 	if transport == "" {
 		transport = FleetTransportTCP
@@ -579,17 +556,13 @@ func Fleet(cfg FleetConfig) (FleetCellResult, error) {
 	}
 	deadline := time.Now().Add(timeout)
 
-	pushers := cfg.Pushers
-	if mode == FleetModeBaseline {
-		pushers = -1
-	}
 	srv, err := server.New(server.Config{
 		Key:        e2eKey,
 		MaxPerDay:  1 << 30,
 		GetBatch:   cfg.GetBatch,
 		PushMaxLag: cfg.PushMaxLag,
 		MaxSubs:    cfg.MaxSubs,
-		Pushers:    pushers,
+		Pushers:    cfg.Pushers,
 	})
 	if err != nil {
 		return FleetCellResult{}, fmt.Errorf("bench: fleet: %w", err)
@@ -629,7 +602,7 @@ func Fleet(cfg FleetConfig) (FleetCellResult, error) {
 				GetBatch:   cfg.GetBatch,
 				PushMaxLag: cfg.PushMaxLag,
 				MaxSubs:    cfg.MaxSubs,
-				Pushers:    pushers,
+				Pushers:    cfg.Pushers,
 				FollowDial: dial,
 				FollowPing: time.Second,
 			})
@@ -690,7 +663,6 @@ func Fleet(cfg FleetConfig) (FleetCellResult, error) {
 	clock := &commitClock{times: make([]int64, totalAdds)}
 
 	res := FleetCellResult{
-		Mode:        mode,
 		Transport:   transport,
 		Pacing:      pacing,
 		Subscribers: subscribers,
@@ -698,13 +670,9 @@ func Fleet(cfg FleetConfig) (FleetCellResult, error) {
 		OfferedRPS:  float64(totalAdds) / TraceDur(cfg.Trace).Seconds(),
 		SLOMS:       float64(slo) / float64(time.Millisecond),
 	}
-	if mode == FleetModeBaseline {
-		res.PusherWorkers = subscribers
-	} else {
-		res.PusherWorkers = cfg.Pushers
-		if res.PusherWorkers <= 0 {
-			res.PusherWorkers = runtime.GOMAXPROCS(0)
-		}
+	res.PusherWorkers = cfg.Pushers
+	if res.PusherWorkers <= 0 {
+		res.PusherWorkers = runtime.GOMAXPROCS(0)
 	}
 
 	// Measurement point 1: before any client exists.
@@ -889,8 +857,8 @@ func fleetPercentile(hist *[fleetBuckets]int64, samples int64, p float64) float6
 	return fleetBucketMS(fleetBuckets - 1)
 }
 
-// FleetSurfaceResult is the full experiment: cells across modes and
-// subscriber counts, plus the headline comparison.
+// FleetSurfaceResult is the full experiment: cells across subscriber
+// counts, plus the headline.
 type FleetSurfaceResult struct {
 	Trace TraceConfig `json:"trace"`
 	// Repeat is the best-of-N retry budget each cell ran under (see
@@ -898,18 +866,15 @@ type FleetSurfaceResult struct {
 	// artifact.
 	Repeat int               `json:"repeat"`
 	Cells  []FleetCellResult `json:"cells"`
-	// PooledMaxSustained / BaselineMaxSustained are the largest
-	// subscriber populations each mode sustained within the SLO.
-	PooledMaxSustained   int `json:"pooled_max_sustained"`
-	BaselineMaxSustained int `json:"baseline_max_sustained"`
-	// SubscriberRatio is pooled over baseline — the scaling headline.
-	SubscriberRatio float64 `json:"subscriber_ratio"`
+	// MaxSustained is the largest subscriber population sustained within
+	// the SLO — the scaling headline.
+	MaxSustained int `json:"max_sustained"`
 }
 
-// FleetSurface runs one cell per (mode, subscriber count) and computes
-// the headline ratio. Cells run sequentially — they share the box, so
-// overlap would contaminate the measurements.
-func FleetSurface(traceCfg TraceConfig, base FleetConfig, modes []string, counts map[string][]int) (FleetSurfaceResult, error) {
+// FleetSurface runs one cell per subscriber count and computes the
+// headline. Cells run sequentially — they share the box, so overlap
+// would contaminate the measurements.
+func FleetSurface(traceCfg TraceConfig, base FleetConfig, counts []int) (FleetSurfaceResult, error) {
 	repeat := base.Repeat
 	if repeat < 1 {
 		repeat = 1
@@ -919,33 +884,18 @@ func FleetSurface(traceCfg TraceConfig, base FleetConfig, modes []string, counts
 	if err != nil {
 		return out, err
 	}
-	for _, mode := range modes {
-		for _, n := range counts[mode] {
-			cfg := base
-			cfg.Mode = mode
-			cfg.Subscribers = n
-			cfg.Trace = trace
-			cell, err := fleetBestOf(cfg, repeat)
-			if err != nil {
-				return out, fmt.Errorf("bench: fleet %s/%d: %w", mode, n, err)
-			}
-			out.Cells = append(out.Cells, cell)
-			if cell.Sustained {
-				switch mode {
-				case FleetModePooled:
-					if n > out.PooledMaxSustained {
-						out.PooledMaxSustained = n
-					}
-				case FleetModeBaseline:
-					if n > out.BaselineMaxSustained {
-						out.BaselineMaxSustained = n
-					}
-				}
-			}
+	for _, n := range counts {
+		cfg := base
+		cfg.Subscribers = n
+		cfg.Trace = trace
+		cell, err := fleetBestOf(cfg, repeat)
+		if err != nil {
+			return out, fmt.Errorf("bench: fleet %d: %w", n, err)
 		}
-	}
-	if out.BaselineMaxSustained > 0 {
-		out.SubscriberRatio = float64(out.PooledMaxSustained) / float64(out.BaselineMaxSustained)
+		out.Cells = append(out.Cells, cell)
+		if cell.Sustained && n > out.MaxSustained {
+			out.MaxSustained = n
+		}
 	}
 	return out, nil
 }
@@ -956,8 +906,8 @@ func WriteFleetCell(w io.Writer, c FleetCellResult) {
 	if !c.Sustained {
 		status = "degraded"
 	}
-	fmt.Fprintf(w, "%-8s %-4s subs=%-5d pushers=%-5d rps=%6.1f/%6.1f deliver/s=%9.0f p50=%6.2fms p99=%8.2fms max=%8.2fms markers=%-4d gaps=%d g/sess=%.2f subΔ=%-3d %s\n",
-		c.Mode, c.Transport, c.Subscribers, c.PusherWorkers, c.AchievedRPS, c.OfferedRPS,
+	fmt.Fprintf(w, "%-4s subs=%-5d pushers=%-5d rps=%6.1f/%6.1f deliver/s=%9.0f p50=%6.2fms p99=%8.2fms max=%8.2fms markers=%-4d gaps=%d g/sess=%.2f subΔ=%-3d %s\n",
+		c.Transport, c.Subscribers, c.PusherWorkers, c.AchievedRPS, c.OfferedRPS,
 		c.DeliveriesPerSec, c.LatencyP50MS, c.LatencyP99MS, c.LatencyMaxMS,
 		c.Markers, c.GapErrors, c.GoroutinesPerSession, c.SubscribeGoroutineDelta, status)
 }
@@ -980,6 +930,5 @@ func WriteFleetSurface(w io.Writer, res FleetSurfaceResult) {
 	for _, c := range res.Cells {
 		WriteFleetCell(w, c)
 	}
-	fmt.Fprintf(w, "max sustained within SLO: pooled=%d baseline=%d ratio=%.1f×\n",
-		res.PooledMaxSustained, res.BaselineMaxSustained, res.SubscriberRatio)
+	fmt.Fprintf(w, "max sustained within SLO: %d subscribers\n", res.MaxSustained)
 }

@@ -93,15 +93,15 @@ func TestCommitClockBounds(t *testing.T) {
 
 func TestFleetRejectsBadConfig(t *testing.T) {
 	trace := []TraceSlot{{Dur: time.Millisecond, Adds: 1}}
-	if _, err := Fleet(FleetConfig{Mode: "turbo", Trace: trace}); err == nil {
-		t.Error("unknown mode accepted")
+	if _, err := Fleet(FleetConfig{Transport: "carrier-pigeon", Trace: trace}); err == nil {
+		t.Error("unknown transport accepted")
 	}
-	if _, err := Fleet(FleetConfig{Mode: FleetModePooled}); err == nil {
+	if _, err := Fleet(FleetConfig{}); err == nil {
 		t.Error("empty trace accepted")
 	}
 }
 
-// End-to-end smoke: a small fleet in each mode must quiesce with every
+// End-to-end smoke: a small fleet must quiesce with every
 // subscriber holding the full log, no gaps, and sane metrics. This is
 // the same path the fleet benchmark and the CI smoke job run, shrunk.
 func TestFleetSmallEndToEnd(t *testing.T) {
@@ -118,70 +118,57 @@ func TestFleetSmallEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []string{FleetModePooled, FleetModeBaseline} {
-		t.Run(mode, func(t *testing.T) {
-			res, err := Fleet(FleetConfig{
-				Mode:        mode,
-				Subscribers: 8,
-				Trace:       trace,
-				TimeoutSec:  60,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !res.Quiesced {
-				t.Fatal("fleet did not quiesce")
-			}
-			if res.GapErrors != 0 {
-				t.Errorf("gap errors = %d, want 0", res.GapErrors)
-			}
-			if res.TotalSigs != TraceAdds(trace) {
-				t.Errorf("total sigs = %d, want %d", res.TotalSigs, TraceAdds(trace))
-			}
-			if want := int64(res.TotalSigs) * 8; res.Deliveries != want {
-				t.Errorf("deliveries = %d, want %d (full fan-out)", res.Deliveries, want)
-			}
-			if res.LatencySamples == 0 {
-				t.Error("no latency samples recorded")
-			}
-			if res.LatencyP99MS <= 0 || res.LatencyP50MS > res.LatencyP99MS {
-				t.Errorf("implausible percentiles p50=%g p99=%g", res.LatencyP50MS, res.LatencyP99MS)
-			}
-			// Per-session goroutine shape: the baseline spends one extra
-			// goroutine per session on its dedicated pusher.
-			if mode == FleetModeBaseline && res.PusherWorkers != 8 {
-				t.Errorf("baseline pusher workers = %d, want 8", res.PusherWorkers)
-			}
-			if mode == FleetModePooled && res.PusherWorkers >= 8 {
-				t.Errorf("pooled pusher workers = %d, want a small pool", res.PusherWorkers)
-			}
+	t.Run("pooled", func(t *testing.T) {
+		res, err := Fleet(FleetConfig{
+			Subscribers: 8,
+			Trace:       trace,
+			TimeoutSec:  60,
 		})
-	}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Quiesced {
+			t.Fatal("fleet did not quiesce")
+		}
+		if res.GapErrors != 0 {
+			t.Errorf("gap errors = %d, want 0", res.GapErrors)
+		}
+		if res.TotalSigs != TraceAdds(trace) {
+			t.Errorf("total sigs = %d, want %d", res.TotalSigs, TraceAdds(trace))
+		}
+		if want := int64(res.TotalSigs) * 8; res.Deliveries != want {
+			t.Errorf("deliveries = %d, want %d (full fan-out)", res.Deliveries, want)
+		}
+		if res.LatencySamples == 0 {
+			t.Error("no latency samples recorded")
+		}
+		if res.LatencyP99MS <= 0 || res.LatencyP50MS > res.LatencyP99MS {
+			t.Errorf("implausible percentiles p50=%g p99=%g", res.LatencyP50MS, res.LatencyP99MS)
+		}
+		if res.PusherWorkers >= 8 {
+			t.Errorf("pooled pusher workers = %d, want a small pool", res.PusherWorkers)
+		}
+	})
 }
 
-// The surface runner must track per-mode sustained maxima and compute
-// the headline ratio from them.
+// The surface runner must track the sustained maximum.
 func TestFleetSurfaceHeadline(t *testing.T) {
 	traceCfg := TraceConfig{Profile: TraceProfileSteady, Slots: 2, SlotDur: 50 * time.Millisecond, TargetRPS: 60}
 	res, err := FleetSurface(traceCfg,
 		FleetConfig{TimeoutSec: 60},
-		[]string{FleetModePooled, FleetModeBaseline},
-		map[string][]int{FleetModePooled: {2, 4}, FleetModeBaseline: {2}},
+		[]int{2, 4},
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Cells) != 3 {
-		t.Fatalf("cells = %d, want 3", len(res.Cells))
+	if len(res.Cells) != 2 {
+		t.Fatalf("cells = %d, want 2", len(res.Cells))
 	}
-	if !res.Cells[0].Sustained || !res.Cells[1].Sustained || !res.Cells[2].Sustained {
+	if !res.Cells[0].Sustained || !res.Cells[1].Sustained {
 		t.Fatalf("tiny cells not sustained: %+v", res.Cells)
 	}
-	if res.PooledMaxSustained != 4 || res.BaselineMaxSustained != 2 {
-		t.Errorf("max sustained = %d/%d, want 4/2", res.PooledMaxSustained, res.BaselineMaxSustained)
-	}
-	if res.SubscriberRatio != 2 {
-		t.Errorf("ratio = %g, want 2", res.SubscriberRatio)
+	if res.MaxSustained != 4 {
+		t.Errorf("max sustained = %d, want 4", res.MaxSustained)
 	}
 	var buf writerCounter
 	WriteFleetSurface(&buf, res)

@@ -62,8 +62,8 @@ type ReplSurfaceResult struct {
 }
 
 // ReplSurface runs the two arms cell by cell (sequentially — they share
-// the box) and computes the capacity headline. base.Mode, base.Pushers,
-// and base.Replicas are overridden per arm.
+// the box) and computes the capacity headline. base.Pushers and
+// base.Replicas are overridden per arm.
 func ReplSurface(traceCfg TraceConfig, base FleetConfig, replicas int, soloCounts, replCounts []int) (ReplSurfaceResult, error) {
 	repeat := base.Repeat
 	if repeat < 1 {
@@ -96,7 +96,6 @@ func ReplSurface(traceCfg TraceConfig, base FleetConfig, replicas int, soloCount
 	for _, arm := range arms {
 		for _, n := range arm.counts {
 			cfg := base
-			cfg.Mode = FleetModePooled
 			cfg.Subscribers = n
 			cfg.Replicas = arm.replicas
 			cfg.Trace = trace

@@ -21,7 +21,6 @@ func TestFleetReplicatedEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := Fleet(FleetConfig{
-		Mode:        FleetModePooled,
 		Transport:   FleetTransportPipe,
 		Subscribers: 8,
 		Replicas:    2,

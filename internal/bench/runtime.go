@@ -16,16 +16,13 @@ import (
 // G goroutines each hammer a private lock (uncontended — the §II-A
 // common case) under a history of S signatures, with a configurable
 // fraction of acquisitions using a call stack that matches a history
-// signature. Every point runs three times:
+// signature. Every point runs twice:
 //
 //   - "reference": every acquisition through the global-mutex slow path
 //     (dimmunix.Config.FastPathDisabled) — the original semantics.
-//   - "global": the lock-free fast path for unmatched acquisitions, but
-//     matched ones funneled through rt.mu
-//     (dimmunix.Config.ShardedAvoidanceDisabled) — the pre-shard
-//     runtime.
-//   - "sharded": the full runtime — matched acquisitions take only
-//     their signatures' position shards.
+//   - "sharded": the full runtime — unmatched acquisitions take the
+//     lock-free fast path, matched ones only their signatures' position
+//     shards.
 type RuntimeBenchConfig struct {
 	// Goroutines sweeps the concurrency axis (default 1, 2, 4, 8, 16,
 	// 32, 64).
@@ -46,20 +43,19 @@ type RuntimeBenchConfig struct {
 // Runtime bench modes, in per-configuration run order.
 const (
 	RuntimeModeReference = "reference"
-	RuntimeModeGlobal    = "global"
 	RuntimeModeSharded   = "sharded"
 )
 
-var runtimeModes = []string{RuntimeModeReference, RuntimeModeGlobal, RuntimeModeSharded}
+var runtimeModes = []string{RuntimeModeReference, RuntimeModeSharded}
 
 // RuntimeBenchPoint is one measurement.
 type RuntimeBenchPoint struct {
-	// Mode is the runtime configuration measured: "reference", "global",
-	// or "sharded" (see RuntimeBenchConfig).
+	// Mode is the runtime configuration measured: "reference" or
+	// "sharded" (see RuntimeBenchConfig).
 	Mode string `json:"mode"`
 	// FastPath reports whether the lock-free fast path was enabled
-	// (every mode but "reference"); kept for continuity with the PR 3
-	// sweep format.
+	// (every mode but "reference"); kept for continuity with the earliest
+	// committed sweep format.
 	FastPath bool `json:"fast_path"`
 	// Goroutines is the worker count.
 	Goroutines int `json:"goroutines"`
@@ -137,7 +133,7 @@ func runtimeBenchHistory(size, goroutines int) (*dimmunix.History, []sig.Stack) 
 }
 
 // RuntimeBench sweeps the acquisition hot path. Points come out ordered
-// by (goroutines, history, match) with the three modes adjacent,
+// by (goroutines, history, match) with the two modes adjacent,
 // reference first.
 func RuntimeBench(cfg RuntimeBenchConfig) ([]RuntimeBenchPoint, error) {
 	goroutines := cfg.Goroutines
@@ -187,8 +183,6 @@ func runtimeBenchPoint(goroutines, histSize, matchPercent, ops int, mode string)
 	switch mode {
 	case RuntimeModeReference:
 		rtCfg.FastPathDisabled = true
-	case RuntimeModeGlobal:
-		rtCfg.ShardedAvoidanceDisabled = true
 	case RuntimeModeSharded:
 	default:
 		return RuntimeBenchPoint{}, fmt.Errorf("bench: unknown runtime mode %q", mode)
@@ -266,21 +260,20 @@ func runtimeBenchPoint(goroutines, histSize, matchPercent, ops int, mode string)
 	}, nil
 }
 
-// WriteRuntimeBench renders the sweep as text, grouping each
-// configuration's three modes on one line with the sharded path's
-// speedups over both references.
+// WriteRuntimeBench renders the sweep as text, pairing each
+// configuration's two modes on one line with the sharded runtime's
+// speedup over the reference.
 func WriteRuntimeBench(w io.Writer, points []RuntimeBenchPoint) {
-	fmt.Fprintln(w, "Acquisition hot path: sharded matched path vs global-mutex references")
-	fmt.Fprintln(w, "  goroutines  history  match%   reference ops/s      global ops/s     sharded ops/s   vs-ref   vs-global")
-	for i := 0; i+2 < len(points); i += 3 {
-		ref, glob, shard := points[i], points[i+1], points[i+2]
-		if ref.Mode != RuntimeModeReference || glob.Mode != RuntimeModeGlobal || shard.Mode != RuntimeModeSharded {
+	fmt.Fprintln(w, "Acquisition hot path: sharded runtime vs global-mutex reference")
+	fmt.Fprintln(w, "  goroutines  history  match%   reference ops/s     sharded ops/s   vs-ref")
+	for i := 0; i+1 < len(points); i += 2 {
+		ref, shard := points[i], points[i+1]
+		if ref.Mode != RuntimeModeReference || shard.Mode != RuntimeModeSharded {
 			continue
 		}
-		fmt.Fprintf(w, "  %10d %8d %6d%% %17.0f %17.0f %17.0f %7.1fx %8.1fx\n",
+		fmt.Fprintf(w, "  %10d %8d %6d%% %17.0f %17.0f %7.1fx\n",
 			ref.Goroutines, ref.HistorySize, ref.MatchPercent,
-			ref.OpsPerSec, glob.OpsPerSec, shard.OpsPerSec,
-			shard.OpsPerSec/ref.OpsPerSec, shard.OpsPerSec/glob.OpsPerSec)
+			ref.OpsPerSec, shard.OpsPerSec, shard.OpsPerSec/ref.OpsPerSec)
 	}
 }
 
@@ -304,9 +297,9 @@ func WriteRuntimeBenchJSON(w io.Writer, points []RuntimeBenchPoint, hotSwap []Ho
 // re-derive on every refresh), and an agent goroutine swaps one
 // signature in and out of the history at a paced rate — the §III-E
 // steady state where the community pushes deltas into a long-running
-// process. Every point runs twice: once with the incremental
-// per-signature delta refresh (the default runtime) and once with
-// Config.IncrementalRefreshDisabled forcing the pre-PR 8 full rebuild.
+// process. Each point reports how the runtime's refreshes resolved
+// (per-signature delta, or the full-rebuild fallback) and what each
+// cost.
 type HotSwapBenchConfig struct {
 	// Goroutines sweeps the worker count (default 4, 16).
 	Goroutines []int
@@ -314,8 +307,7 @@ type HotSwapBenchConfig struct {
 	// held and churn signatures (default 64, 512).
 	HistorySizes []int
 	// SwapRates sweeps the history mutation rate in swaps per second
-	// (default 0, 200, 2000; 0 is the no-churn baseline where both
-	// refresh arms must agree).
+	// (default 0, 200, 2000; 0 is the no-churn baseline).
 	SwapRates []int
 	// MatchPercents sweeps the fraction of worker acquisitions whose
 	// stack matches a history signature (default 0, 100; the 0 points
@@ -331,19 +323,8 @@ type HotSwapBenchConfig struct {
 	OpsPerGoroutine int
 }
 
-// Hot-swap refresh arms, in per-configuration run order.
-const (
-	RefreshIncremental = "incremental"
-	RefreshFull        = "full"
-)
-
-var hotSwapArms = []string{RefreshIncremental, RefreshFull}
-
 // HotSwapBenchPoint is one hot-swap measurement.
 type HotSwapBenchPoint struct {
-	// Refresh is the history-refresh arm: "incremental" (per-signature
-	// delta application) or "full" (rebuild every shard per refresh).
-	Refresh string `json:"refresh"`
 	// Goroutines is the worker count.
 	Goroutines int `json:"goroutines"`
 	// HistorySize is the number of installed signatures (excluding the
@@ -388,8 +369,7 @@ type HotSwapBenchPoint struct {
 }
 
 // HotSwapBench sweeps history churn against the acquisition hot path.
-// Points come out ordered by (goroutines, history, match, rate) with the
-// two refresh arms adjacent, incremental first.
+// Points come out ordered by (goroutines, history, match, rate).
 func HotSwapBench(cfg HotSwapBenchConfig) ([]HotSwapBenchPoint, error) {
 	goroutines := cfg.Goroutines
 	if len(goroutines) == 0 {
@@ -421,13 +401,11 @@ func HotSwapBench(cfg HotSwapBenchConfig) ([]HotSwapBenchPoint, error) {
 		for _, hist := range histories {
 			for _, match := range matches {
 				for _, rate := range rates {
-					for _, arm := range hotSwapArms {
-						p, err := hotSwapBenchPoint(g, hist, match, rate, held, ops, arm)
-						if err != nil {
-							return nil, err
-						}
-						out = append(out, p)
+					p, err := hotSwapBenchPoint(g, hist, match, rate, held, ops)
+					if err != nil {
+						return nil, err
 					}
+					out = append(out, p)
 				}
 			}
 		}
@@ -449,7 +427,7 @@ func hotSwapSig(tag string, n int) (*sig.Signature, sig.Stack) {
 }
 
 // hotSwapBenchPoint runs one configuration.
-func hotSwapBenchPoint(goroutines, histSize, matchPercent, swapRate, held, ops int, arm string) (HotSwapBenchPoint, error) {
+func hotSwapBenchPoint(goroutines, histSize, matchPercent, swapRate, held, ops int) (HotSwapBenchPoint, error) {
 	history, matched := runtimeBenchHistory(histSize, goroutines)
 	// Per-(worker, slot) held signatures: distinct top frames so each
 	// pre-held lock pins a position in its own shard. A full rebuild
@@ -466,18 +444,10 @@ func hotSwapBenchPoint(goroutines, histSize, matchPercent, swapRate, held, ops i
 	}
 	churn, _ := hotSwapSig("churn", 900000)
 
-	rtCfg := dimmunix.Config{
+	rt := dimmunix.NewRuntime(dimmunix.Config{
 		History: history,
 		Policy:  dimmunix.RecoverBreak,
-	}
-	switch arm {
-	case RefreshIncremental:
-	case RefreshFull:
-		rtCfg.IncrementalRefreshDisabled = true
-	default:
-		return HotSwapBenchPoint{}, fmt.Errorf("bench: unknown refresh arm %q", arm)
-	}
-	rt := dimmunix.NewRuntime(rtCfg)
+	})
 	defer rt.Close()
 
 	locks := make([]*dimmunix.Lock, goroutines)
@@ -610,7 +580,6 @@ func hotSwapBenchPoint(goroutines, histSize, matchPercent, swapRate, held, ops i
 	deltaMinNS, fullMinNS := rt.RefreshMinNanos()
 	total := goroutines * ops
 	return HotSwapBenchPoint{
-		Refresh:           arm,
 		Goroutines:        goroutines,
 		HistorySize:       histSize,
 		MatchPercent:      matchPercent,
@@ -640,32 +609,18 @@ func (p HotSwapBenchPoint) AvgRefreshNS() float64 {
 	return float64(p.RefreshDeltaNS+p.RefreshFullNS) / float64(n)
 }
 
-// WriteHotSwapBench renders the hot-swap sweep as text, pairing each
-// configuration's two refresh arms on one line. Two ratios matter: the
-// end-to-end throughput ratio (bounded by the refresh duty cycle — near
-// 1.0 at low churn) and the per-refresh cost ratio, which is the direct
-// "delta vs whole history" comparison and the sweep's headline. The
-// per-refresh columns are each arm's fastest single refresh — the
-// uncontended cost; cumulative means are in the JSON but are noisy on a
-// loaded box, where a preemption inside a µs-scale timed window books
-// milliseconds.
+// WriteHotSwapBench renders the hot-swap sweep as text, one line per
+// configuration: throughput under churn, how the refreshes resolved
+// (delta vs full-rebuild fallback), and each variant's fastest single
+// refresh — the uncontended cost; cumulative means are in the JSON but
+// are noisy on a loaded box, where a preemption inside a µs-scale timed
+// window books milliseconds.
 func WriteHotSwapBench(w io.Writer, points []HotSwapBenchPoint) {
-	fmt.Fprintln(w, "History hot-swap: incremental delta refresh vs full rebuild")
-	fmt.Fprintln(w, "  goroutines  history  match%  swaps/s  held       inc ops/s      full ops/s  delta-refresh µs  full-refresh µs  refresh-speedup")
-	for i := 0; i+1 < len(points); i += 2 {
-		inc, full := points[i], points[i+1]
-		if inc.Refresh != RefreshIncremental || full.Refresh != RefreshFull {
-			continue
-		}
-		incNS, fullNS := float64(inc.RefreshDeltaMinNS), float64(full.RefreshFullMinNS)
-		ratio := "      -"
-		if inc.RefreshDelta > 0 && full.RefreshFull > 0 && incNS > 0 && fullNS > 0 {
-			ratio = fmt.Sprintf("%6.1fx", fullNS/incNS)
-		} else {
-			incNS, fullNS = 0, 0
-		}
-		fmt.Fprintf(w, "  %10d %8d %6d%% %8d %5d %15.0f %15.0f %17.1f %16.1f  %s\n",
-			inc.Goroutines, inc.HistorySize, inc.MatchPercent, inc.SwapsPerSec, inc.HeldLocks,
-			inc.OpsPerSec, full.OpsPerSec, incNS/1e3, fullNS/1e3, ratio)
+	fmt.Fprintln(w, "History hot-swap: incremental delta refresh under churn")
+	fmt.Fprintln(w, "  goroutines  history  match%  swaps/s  held           ops/s   deltas   fulls  delta-refresh µs  full-refresh µs")
+	for _, p := range points {
+		fmt.Fprintf(w, "  %10d %8d %6d%% %8d %5d %15.0f %8d %7d %17.1f %16.1f\n",
+			p.Goroutines, p.HistorySize, p.MatchPercent, p.SwapsPerSec, p.HeldLocks, p.OpsPerSec,
+			p.RefreshDelta, p.RefreshFull, float64(p.RefreshDeltaMinNS)/1e3, float64(p.RefreshFullMinNS)/1e3)
 	}
 }

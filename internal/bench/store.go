@@ -13,16 +13,9 @@ import (
 	"communix/internal/store"
 )
 
-// sigDB is the store surface the contention benchmark exercises; both the
-// sharded store.Store and the single-lock store.Locked satisfy it.
-type sigDB interface {
-	Add(ids.UserID, *sig.Signature) (bool, error)
-	Get(int) ([]json.RawMessage, int)
-}
-
 // StoreBenchConfig parameterizes the contended ADD/GET throughput
-// experiment: W workers hammer one store with distinct-signature ADDs,
-// interleaving incremental GETs, against both implementations.
+// experiment: W workers hammer one sharded store with distinct-signature
+// ADDs, interleaving incremental GETs.
 type StoreBenchConfig struct {
 	// Workers are the contention levels to sweep; default 1,2,4,8,16.
 	Workers []int
@@ -33,19 +26,13 @@ type StoreBenchConfig struct {
 	// GetEvery interleaves one incremental GET per this many ADDs
 	// (default 8).
 	GetEvery int
-	// Impls restricts which implementations run ("locked", "sharded");
-	// default both. Benchmarks timing one implementation must filter
-	// here, or the other's work pollutes their measurement.
-	Impls []string
 }
 
 // StoreBenchPoint is one measurement.
 type StoreBenchPoint struct {
-	// Impl is "locked" (single-mutex baseline) or "sharded".
-	Impl string `json:"impl"`
 	// Workers is the number of concurrent goroutines.
 	Workers int `json:"workers"`
-	// Shards is the partition count (1 for the locked baseline).
+	// Shards is the partition count.
 	Shards int `json:"shards"`
 	// Procs is the GOMAXPROCS the point ran under.
 	Procs int `json:"procs"`
@@ -57,19 +44,14 @@ type StoreBenchPoint struct {
 	OpsPerSec float64 `json:"ops_per_sec"`
 }
 
-// StoreBench sweeps worker counts over the selected store
-// implementations. For each level it sets GOMAXPROCS to the worker
-// count, deliberately uncapped: past NumCPU the extra threads
-// oversubscribe the cores, which is exactly the regime that exposes
-// convoying on the single lock under preemption.
+// StoreBench sweeps worker counts over the sharded store. For each level
+// it sets GOMAXPROCS to the worker count, deliberately uncapped as in
+// the committed BENCH_store.json sweep: past NumCPU the extra threads
+// oversubscribe the cores.
 func StoreBench(cfg StoreBenchConfig) ([]StoreBenchPoint, error) {
 	workers := cfg.Workers
 	if len(workers) == 0 {
 		workers = []int{1, 2, 4, 8, 16}
-	}
-	impls := cfg.Impls
-	if len(impls) == 0 {
-		impls = []string{"locked", "sharded"}
 	}
 	ops := cfg.OpsPerWorker
 	if ops <= 0 {
@@ -100,42 +82,25 @@ func StoreBench(cfg StoreBenchConfig) ([]StoreBenchPoint, error) {
 
 	var out []StoreBenchPoint
 	for _, w := range workers {
-		procs := w
-		prev := runtime.GOMAXPROCS(procs)
-		for _, impl := range impls {
-			var db sigDB
-			pointShards := 1
-			storeCfg := store.Config{MaxPerDay: 1 << 30}
-			switch impl {
-			case "locked":
-				db = store.NewLocked(storeCfg)
-			case "sharded":
-				storeCfg.Shards = shards
-				db = store.New(storeCfg)
-				pointShards = shards
-			default:
-				runtime.GOMAXPROCS(prev)
-				return nil, fmt.Errorf("bench: unknown store impl %q", impl)
-			}
-			elapsed, total := storeBenchRun(db, sigs, w, ops, getEvery)
-			out = append(out, StoreBenchPoint{
-				Impl:      impl,
-				Workers:   w,
-				Shards:    pointShards,
-				Procs:     procs,
-				Ops:       total,
-				ElapsedNS: elapsed.Nanoseconds(),
-				OpsPerSec: float64(total) / elapsed.Seconds(),
-			})
-		}
+		prev := runtime.GOMAXPROCS(w)
+		db := store.New(store.Config{MaxPerDay: 1 << 30, Shards: shards})
+		elapsed, total := storeBenchRun(db, sigs, w, ops, getEvery)
 		runtime.GOMAXPROCS(prev)
+		out = append(out, StoreBenchPoint{
+			Workers:   w,
+			Shards:    shards,
+			Procs:     w,
+			Ops:       total,
+			ElapsedNS: elapsed.Nanoseconds(),
+			OpsPerSec: float64(total) / elapsed.Seconds(),
+		})
 	}
 	return out, nil
 }
 
 // storeBenchRun times w workers × ops ADDs (plus interleaved incremental
 // GETs) against db and returns wall time and total operations.
-func storeBenchRun(db sigDB, sigs []*sig.Signature, w, ops, getEvery int) (time.Duration, int) {
+func storeBenchRun(db *store.Store, sigs []*sig.Signature, w, ops, getEvery int) (time.Duration, int) {
 	start := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < w; i++ {
@@ -162,11 +127,11 @@ func storeBenchRun(db sigDB, sigs []*sig.Signature, w, ops, getEvery int) (time.
 
 // WriteStoreBench renders the sweep as text.
 func WriteStoreBench(w io.Writer, points []StoreBenchPoint) {
-	fmt.Fprintln(w, "Store throughput: contended ADD/GET, single-lock vs sharded")
-	fmt.Fprintln(w, "  impl     workers  shards  procs       ops   elapsed        ops/s")
+	fmt.Fprintln(w, "Store throughput: contended ADD/GET, sharded store")
+	fmt.Fprintln(w, "  workers  shards  procs       ops   elapsed        ops/s")
 	for _, p := range points {
-		fmt.Fprintf(w, "  %-8s %7d %7d %6d %9d   %-10v %9.0f\n",
-			p.Impl, p.Workers, p.Shards, p.Procs, p.Ops,
+		fmt.Fprintf(w, "  %7d %7d %6d %9d   %-10v %9.0f\n",
+			p.Workers, p.Shards, p.Procs, p.Ops,
 			time.Duration(p.ElapsedNS).Round(time.Millisecond), p.OpsPerSec)
 	}
 }

@@ -8,16 +8,13 @@ import (
 	"communix/internal/sig"
 )
 
-// benchModes runs the sub-benchmarks across the three runtime modes:
-// the full sharded fast path, the "global" reference (fast path on,
-// matched acquisitions funneled through rt.mu — the pre-shard
-// behavior), and the all-slow global-mutex reference.
+// benchModes runs the sub-benchmarks across the two runtime modes: the
+// full sharded fast path and the all-slow global-mutex reference.
 var benchModes = []struct {
 	name   string
 	mutate func(*Config)
 }{
 	{"fastpath", func(*Config) {}},
-	{"global", func(c *Config) { c.ShardedAvoidanceDisabled = true }},
 	{"reference", func(c *Config) { c.FastPathDisabled = true }},
 }
 

@@ -40,6 +40,9 @@ type diffRig struct {
 	refLocks  []*Lock
 	pending   map[ThreadID]*diffOp
 	held      map[ThreadID][]int // test-side model of granted holds
+	// refFullRebuild empties the reference history's changelog after
+	// every mutation, so every reference refresh is a full rebuild.
+	refFullRebuild bool
 }
 
 // newDiffRig builds the default rig: the full sharded fast path against
@@ -48,22 +51,15 @@ func newDiffRig(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
 	return newDiffRigRef(t, nLocks, mutate, func(c *Config) { c.FastPathDisabled = true })
 }
 
-// newDiffRigGlobal builds the sharded-vs-global rig: the full sharded
-// fast path against the pre-shard runtime (fast path on, matched
-// acquisitions through rt.mu — ShardedAvoidanceDisabled), so every
-// grant/yield/denial of the sharded matched path is checked against the
-// global-mutex matched path specifically.
-func newDiffRigGlobal(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
-	return newDiffRigRef(t, nLocks, mutate, func(c *Config) { c.ShardedAvoidanceDisabled = true })
-}
-
 // newDiffRigFullRebuild builds the refresh rig: the incremental
 // delta-refresh runtime against one whose every history refresh is a
-// full rebuild (IncrementalRefreshDisabled) — both on the full sharded
-// fast path, so every decision taken after a hot-swap checks the delta
-// application against the rebuild-from-scratch reference.
+// full rebuild (dropChangelog) — both on the full sharded fast path, so
+// every decision taken after a hot-swap checks the delta application
+// against the rebuild-from-scratch reference.
 func newDiffRigFullRebuild(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
-	return newDiffRigRef(t, nLocks, mutate, func(c *Config) { c.IncrementalRefreshDisabled = true })
+	r := newDiffRigRef(t, nLocks, mutate, func(*Config) {})
+	r.refFullRebuild = true
+	return r
 }
 
 func newDiffRigRef(t *testing.T, nLocks int, mutate func(*Config), refMutate func(*Config)) *diffRig {
@@ -105,6 +101,7 @@ func newDiffRigRef(t *testing.T, nLocks int, mutate func(*Config), refMutate fun
 func (r *diffRig) install(s *sig.Signature) {
 	fa := r.fastHist.Add(s)
 	ra := r.refHist.Add(s)
+	r.refMutated()
 	if fa != ra {
 		r.t.Fatalf("install divergence: fast added=%v ref added=%v", fa, ra)
 	}
@@ -114,6 +111,7 @@ func (r *diffRig) install(s *sig.Signature) {
 func (r *diffRig) remove(id string) {
 	fr := r.fastHist.Remove(id)
 	rr := r.refHist.Remove(id)
+	r.refMutated()
 	if fr != rr {
 		r.t.Fatalf("remove divergence: fast removed=%v ref removed=%v", fr, rr)
 	}
@@ -124,8 +122,16 @@ func (r *diffRig) remove(id string) {
 func (r *diffRig) replace(oldID string, s *sig.Signature) {
 	fr := r.fastHist.Replace(oldID, s)
 	rr := r.refHist.Replace(oldID, s)
+	r.refMutated()
 	if fr != rr {
 		r.t.Fatalf("replace divergence: fast=%v ref=%v", fr, rr)
+	}
+}
+
+// refMutated runs after every reference-history mutation.
+func (r *diffRig) refMutated() {
+	if r.refFullRebuild {
+		dropChangelog(r.refHist)
 	}
 }
 
@@ -689,23 +695,11 @@ func TestDifferentialFuzzedInterleavings(t *testing.T) {
 		})
 	}
 	t.Run("detection-disabled", func(t *testing.T) {
-		runDifferentialScript(t, randChooser{rand.New(rand.NewSource(42))}, 120, true, newDiffRig)
-	})
-}
-
-// TestDifferentialShardedVsGlobal replays the fuzzed scripts with the
-// pre-shard runtime (matched acquisitions through rt.mu) as the
-// reference, so the sharded matched path's every grant/yield/denial is
-// compared against the global-mutex matched path specifically.
-func TestDifferentialShardedVsGlobal(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
-		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			runDifferentialScript(t, randChooser{rand.New(rand.NewSource(seed))}, 120, false, newDiffRigGlobal)
-		})
-	}
-	t.Run("detection-disabled", func(t *testing.T) {
-		runDifferentialScript(t, randChooser{rand.New(rand.NewSource(43))}, 120, true, newDiffRigGlobal)
+		for _, seed := range []int64{42, 43} {
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+				runDifferentialScript(t, randChooser{rand.New(rand.NewSource(seed))}, 120, true, newDiffRig)
+			})
+		}
 	})
 }
 
@@ -727,9 +721,10 @@ func TestDifferentialIncrementalVsFullRebuild(t *testing.T) {
 
 // FuzzDifferentialInterleavings lets the fuzzer drive the op selection
 // directly; any decision divergence between the fast-path and reference
-// runtimes fails the run. Input length mod 3 picks the reference:
-// 0 compares sharded vs the all-slow reference, 1 vs the global-mutex
-// matched path, 2 incremental refresh vs the full-rebuild refresh.
+// runtimes fails the run. Input length mod 3 picks the reference: 2
+// compares the incremental refresh against the full rebuild, 0 and 1 the
+// fast path against the all-slow reference. (Mod 3 keeps each seed input
+// below on the reference it was written for.)
 func FuzzDifferentialInterleavings(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	f.Add([]byte{0, 0, 0, 9, 9, 9, 8, 8, 6, 6, 1, 3, 5, 7})
@@ -739,10 +734,7 @@ func FuzzDifferentialInterleavings(f *testing.F) {
 			t.Skip()
 		}
 		rigFn := newDiffRig
-		switch len(data) % 3 {
-		case 1:
-			rigFn = newDiffRigGlobal
-		case 2:
+		if len(data)%3 == 2 {
 			rigFn = newDiffRigFullRebuild
 		}
 		runDifferentialScript(t, &byteChooser{data: data}, 60, false, rigFn)

@@ -175,10 +175,9 @@ func (rt *Runtime) fastAcquire(tid ThreadID, l *Lock, cs sig.Stack) (bool, *thre
 				}
 			}
 		}
-		if len(refs) != 0 && (rt.cfg.AvoidanceDisabled || rt.cfg.ShardedAvoidanceDisabled) {
-			// Matched, with the sharded matched path switched off: the
-			// stack occupies a signature slot and the global-mutex path
-			// must see it.
+		if len(refs) != 0 && rt.cfg.AvoidanceDisabled {
+			// Matched, with avoidance switched off: the stack occupies a
+			// signature slot and the global-mutex path must see it.
 			return false, nil
 		}
 		if !l.fast.CompareAndSwap(0, uint64(tid)|fastPendingBit) {

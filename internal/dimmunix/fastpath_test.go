@@ -150,33 +150,6 @@ func TestFastPathMatchedStackRegistersPositions(t *testing.T) {
 	}
 }
 
-// TestMatchedStackTakesSlowPathWhenShardingDisabled pins the "global"
-// reference mode: with ShardedAvoidanceDisabled a matched acquisition
-// funnels through rt.mu, exactly the pre-shard behavior.
-func TestMatchedStackTakesSlowPathWhenShardingDisabled(t *testing.T) {
-	ps := newPairStacks()
-	h := NewHistory()
-	h.Add(ps.signature())
-	rt := NewRuntime(Config{History: h, ShardedAvoidanceDisabled: true})
-	defer rt.Close()
-	l := rt.NewLock("l")
-	if err := rt.Acquire(1, l, ps.outerA); err != nil {
-		t.Fatal(err)
-	}
-	if rt.positionCount() == 0 {
-		t.Error("matched acquisition registered no signature positions")
-	}
-	if _, _, _, slow := l.fastSnapshot(); !slow {
-		t.Error("matched acquisition left lock in fast mode despite sharding disabled")
-	}
-	if err := rt.Release(1, l); err != nil {
-		t.Fatal(err)
-	}
-	if rt.positionCount() != 0 {
-		t.Error("positions leaked after release")
-	}
-}
-
 // TestHistoryInstallImportsFastHold: installing a signature while a
 // matching stack is fast-held must pull that hold into the position
 // table before the next avoidance decision — the §II-A guarantee

@@ -60,9 +60,20 @@ func refreshTestSig(n int) *sig.Signature {
 	return s
 }
 
+// dropChangelog empties h's changelog: the state a ring overrun leaves a
+// lagging consumer in. A runtime's next refresh then finds no delta
+// covering its gap and takes the full rebuild, so a history that drops
+// its changelog after every mutation gives the full-rebuild reference the
+// incremental refresh is tested against.
+func dropChangelog(h *History) {
+	h.mu.Lock()
+	h.deltaHead, h.deltaCount = 0, 0
+	h.mu.Unlock()
+}
+
 // TestDifferentialIncrementalRefreshDigest drives an incremental-refresh
-// runtime and a full-rebuild reference (IncrementalRefreshDisabled)
-// through identical fuzzed interleavings of acquisitions, releases, and
+// runtime and a full-rebuild reference (dropChangelog) through
+// identical fuzzed interleavings of acquisitions, releases, and
 // history Add/Remove/Replace mutations, forcing a refresh and comparing
 // the full registered-position digest at every settle point. Any state
 // the delta application computes differently from a rebuild-from-scratch
@@ -88,7 +99,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		in    bool      // currently installed in both histories
 	}
 	inc := NewRuntime(Config{Policy: RecoverBreak})
-	ref := NewRuntime(Config{Policy: RecoverBreak, IncrementalRefreshDisabled: true})
+	ref := NewRuntime(Config{Policy: RecoverBreak})
 	defer inc.Close()
 	defer ref.Close()
 	var incLocks, refLocks []*Lock
@@ -171,6 +182,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if inc.History().Add(c.s) != ref.History().Add(c.s) {
 				t.Fatal("add divergence")
 			}
+			dropChangelog(ref.History())
 			c.in = true
 			if r.Intn(3) > 0 { // sometimes leave the gap to accumulate
 				compare(fmt.Sprintf("after add at op %d", i))
@@ -183,6 +195,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if inc.History().Remove(c.s.ID()) != ref.History().Remove(c.s.ID()) {
 				t.Fatal("remove divergence")
 			}
+			dropChangelog(ref.History())
 			c.in = false
 			if r.Intn(3) > 0 {
 				compare(fmt.Sprintf("after remove at op %d", i))
@@ -197,6 +210,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if inc.History().Replace(c.s.ID(), fresh.s) != ref.History().Replace(c.s.ID(), fresh.s) {
 				t.Fatal("replace divergence")
 			}
+			dropChangelog(ref.History())
 			fresh.in = true
 			cats[ci] = fresh
 			if r.Intn(3) > 0 {
@@ -213,6 +227,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		c := newCat()
 		inc.History().Add(c.s)
 		ref.History().Add(c.s)
+		dropChangelog(ref.History())
 	}
 	compare("after bulk ingestion")
 
@@ -224,7 +239,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		t.Error("incremental runtime never fell back to a full rebuild (bulk overflow should force one)")
 	}
 	if rd, _ := ref.RefreshCounts(); rd != 0 {
-		t.Errorf("reference runtime took %d delta refreshes with IncrementalRefreshDisabled", rd)
+		t.Errorf("reference runtime took %d delta refreshes despite its dropped changelog", rd)
 	}
 }
 
@@ -300,7 +315,7 @@ func TestYieldCarryoverAdoption(t *testing.T) {
 // re-homes on its own timeout; the incremental delta wakes the removed
 // shard's yielders directly.
 func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
-	park := func(t *testing.T, rt *Runtime) (a, b *Lock, done chan error) {
+	park := func(t *testing.T, rt *Runtime, fullRebuild bool) (a, b *Lock, done chan error) {
 		t.Helper()
 		ps := newPairStacks()
 		rt.History().Add(ps.signature())
@@ -317,6 +332,9 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 			return parked
 		}, "thread 2 parked as a yielder")
 		rt.History().Remove(ps.signature().ID())
+		if fullRebuild {
+			dropChangelog(rt.History())
+		}
 		rt.mu.Lock()
 		rt.refreshPositionsLocked()
 		rt.mu.Unlock()
@@ -328,9 +346,12 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 		yieldRehomeNanos.Store(int64(50 * time.Millisecond))
 		defer yieldRehomeNanos.Store(old)
 
-		rt := NewRuntime(Config{Policy: RecoverBreak, IncrementalRefreshDisabled: true})
+		rt := NewRuntime(Config{Policy: RecoverBreak})
 		defer rt.Close()
-		a, b, done := park(t, rt)
+		a, b, done := park(t, rt, true)
+		if _, full := rt.RefreshCounts(); full == 0 {
+			t.Error("removal was not applied as a full rebuild")
+		}
 		// The rebuild dropped the yielder's only shard without waking it;
 		// the shortened re-home timeout must complete the acquisition.
 		if err := waitErr(t, done, "thread 2 re-homing after its signature vanished"); err != nil {
@@ -353,7 +374,7 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 
 		rt := NewRuntime(Config{Policy: RecoverBreak})
 		defer rt.Close()
-		a, b, done := park(t, rt)
+		a, b, done := park(t, rt, false)
 		if err := waitErr(t, done, "thread 2 woken by the delta removal"); err != nil {
 			t.Fatal(err)
 		}

@@ -103,13 +103,6 @@ type Config struct {
 	// slow path — the pre-fast-path reference semantics. Differential
 	// tests and the `-experiment runtime` benchmark compare both modes.
 	FastPathDisabled bool
-	// ShardedAvoidanceDisabled forces every acquisition whose stack
-	// matches the avoidance index through the global-mutex slow path, as
-	// before the per-signature position shards — the matched-path
-	// reference ("global" mode) the differential tests and `-experiment
-	// runtime` compare the sharded matched path against. Unmatched
-	// acquisitions keep the lock-free fast path.
-	ShardedAvoidanceDisabled bool
 	// ShallowCaptureDepth sets the first-phase frame count of the
 	// adaptive native stack capture (Mutex.Lock): the stack is captured
 	// this deep first, and deepened to StackDepth only when the
@@ -117,12 +110,6 @@ type Config struct {
 	// match). 0 means stacktrace.DefaultShallowDepth; negative disables
 	// adaptive capture (every Lock captures StackDepth frames).
 	ShallowCaptureDepth int
-	// IncrementalRefreshDisabled forces every history refresh through the
-	// full rebuild (clear all shards, re-register all positions, sweep
-	// the whole registry) even when the changelog covers the version gap
-	// — the pre-delta reference semantics. Differential tests and the
-	// `-experiment runtime` hot-swap arms compare both modes.
-	IncrementalRefreshDisabled bool
 }
 
 // Runtime is one Dimmunix instance: a lock manager whose scheduling
@@ -746,12 +733,12 @@ func (rt *Runtime) removeWaiterLocked(l *Lock, w *waiter) {
 // decision, so no decision is ever made against a stale position table.
 //
 // When the history's changelog covers the version gap — the common case
-// post-PR 5 is a single pushed signature — the refresh applies a
-// per-signature delta (applyDeltaLocked): only the changed signatures'
-// shards are touched, everything else stays live with its yielders
-// parked. A gap the ring no longer covers (bulk ingestion, a long-idle
-// runtime) or Config.IncrementalRefreshDisabled falls back to the full
-// rebuild.
+// is a single pushed signature — the refresh applies a per-signature
+// delta (applyDeltaLocked): only the changed signatures' shards are
+// touched, everything else stays live with its yielders parked. A gap
+// the ring no longer covers (bulk ingestion, a long-idle runtime) falls
+// back to the full rebuild, which the differential tests also use as the
+// reference for the delta.
 //
 // Ordering matters for the matched fast path racing either variant: the
 // Index() call below publishes the rebuilt index pointer *before* any
@@ -768,25 +755,23 @@ func (rt *Runtime) refreshPositionsLocked() {
 	if idx.version == from {
 		return
 	}
-	if !rt.cfg.IncrementalRefreshDisabled {
-		if added, removed, ok := rt.history.DeltaSince(from, idx.version); ok {
-			// Timed from here, not from DeltaSince: the fold can block on
-			// h.mu behind an in-flight index rebuild, and that wait is
-			// history contention, not refresh work.
-			t0 := time.Now()
-			rt.applyDeltaLocked(idx, added, removed)
-			d := time.Since(t0).Nanoseconds()
-			rt.refreshDelta.Add(1)
-			rt.refreshDeltaNanos.Add(d)
-			if len(added)+len(removed) > 0 {
-				// A gap whose mutations cancel out folds to empty sets and
-				// applies in ~no time; keep the min representative of a
-				// delta that actually changed the position table.
-				storeMin(&rt.refreshDeltaMinNanos, d)
-			}
-			rt.histVer.Store(idx.version)
-			return
+	if added, removed, ok := rt.history.DeltaSince(from, idx.version); ok {
+		// Timed from here, not from DeltaSince: the fold can block on
+		// h.mu behind an in-flight index rebuild, and that wait is
+		// history contention, not refresh work.
+		t0 := time.Now()
+		rt.applyDeltaLocked(idx, added, removed)
+		d := time.Since(t0).Nanoseconds()
+		rt.refreshDelta.Add(1)
+		rt.refreshDeltaNanos.Add(d)
+		if len(added)+len(removed) > 0 {
+			// A gap whose mutations cancel out folds to empty sets and
+			// applies in ~no time; keep the min representative of a
+			// delta that actually changed the position table.
+			storeMin(&rt.refreshDeltaMinNanos, d)
 		}
+		rt.histVer.Store(idx.version)
+		return
 	}
 	t0 := time.Now()
 	rt.rebuildPositionsLocked(idx)

@@ -27,9 +27,8 @@
 // The pool also carries the encoded-page cache: pages of the
 // append-only log are immutable, so the JSON marshal of a PUSH frame
 // for a given cursor is computed once and the identical bytes fan out
-// to every subscriber at that cursor. This is the structural advantage
-// over per-session pushers (kept runnable via Config.Pushers < 0),
-// which each marshal their own copy.
+// to every subscriber at that cursor instead of being marshalled once
+// per subscriber.
 //
 // Lock hierarchy (acquire left before right, never the reverse):
 // hub.mu ≻ sess.mu ≻ pool.qmu / pageCache.mu.
@@ -74,9 +73,6 @@ type pusherPool struct {
 }
 
 func newPusherPool(s *Server, workers int) *pusherPool {
-	if workers < 1 {
-		workers = 1
-	}
 	p := &pusherPool{
 		srv:    s,
 		wakeCh: make(chan struct{}, workers),
@@ -203,17 +199,9 @@ func (c *pageCache) put(from, next int, enc []byte) {
 	c.hand = (c.hand + 1) % pageCacheSlots
 }
 
-// wakePusher schedules push work for a session: pooled mode runs the
-// readiness-queue state machine, per-session mode (Config.Pushers < 0)
-// nudges the session's dedicated pusher goroutine.
+// wakePusher schedules push work for a session through the
+// readiness-queue state machine.
 func (s *Server) wakePusher(sess *session) {
-	if sess.notify != nil {
-		select {
-		case sess.notify <- struct{}{}:
-		default:
-		}
-		return
-	}
 	sess.mu.Lock()
 	enqueue := false
 	switch sess.pstate {
@@ -229,29 +217,12 @@ func (s *Server) wakePusher(sess *session) {
 	}
 }
 
-// sessionPushLoop is the per-session pusher of the baseline
-// architecture (Config.Pushers < 0): one dedicated goroutine per
-// session, woken through the session's cap-1 notify channel. It shares
-// dispatchPush with the pool, so both architectures obey the same
-// page/marker/ordering contract.
-func (s *Server) sessionPushLoop(sess *session) {
-	defer sess.wg.Done()
-	for {
-		select {
-		case <-sess.stop:
-			return
-		case <-sess.notify:
-		}
-		s.dispatchPush(sess)
-	}
-}
-
 // dispatchPush performs one scheduling round for a session: produce at
 // most one PUSH frame (a data page, or a catch-up marker for lagging or
 // quota-shed subscribers) and hand it to the session writer, without
 // ever blocking on the session. It must be called by exactly one
-// goroutine per session at a time — the pool's state machine (or the
-// single per-session pusher) guarantees that.
+// goroutine per session at a time — the pool's state machine
+// guarantees that.
 func (s *Server) dispatchPush(sess *session) {
 	for {
 		sess.mu.Lock()
@@ -368,14 +339,10 @@ func (s *Server) pushParked(sess *session) bool {
 // encodedPushPage returns the encoded PUSH frame for the page starting
 // at cursor cur, serving repeated requests for the same page from the
 // pool's cache. A nil frame with nil error means the log has no page
-// there (racing truncation of lag to zero). Baseline mode (no pool)
-// encodes per call — per-session pushers sharing no state is exactly
-// the architecture the pool is measured against.
+// there (racing truncation of lag to zero).
 func (s *Server) encodedPushPage(cur int) ([]byte, int, error) {
-	if s.pool != nil {
-		if enc, next := s.pool.cache.get(cur); enc != nil {
-			return enc, next, nil
-		}
+	if enc, next := s.pool.cache.get(cur); enc != nil {
+		return enc, next, nil
 	}
 	sigs, next, _ := s.db.GetPage(cur, s.getBatch, wire.MaxGetBytes)
 	if len(sigs) == 0 {
@@ -385,9 +352,7 @@ func (s *Server) encodedPushPage(cur int) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if s.pool != nil {
-		s.pool.cache.put(cur, next, enc)
-	}
+	s.pool.cache.put(cur, next, enc)
 	return enc, next, nil
 }
 
@@ -398,10 +363,8 @@ func (s *Server) encodedPushPage(cur int) ([]byte, int, error) {
 // gate, so a compaction landing mid-stream can never wedge a follower
 // that was admitted above the old boundary.
 func (s *Server) encodedReplPage(cur int) ([]byte, int, error) {
-	if s.pool != nil {
-		if enc, next := s.pool.entryCache.get(cur); enc != nil {
-			return enc, next, nil
-		}
+	if enc, next := s.pool.entryCache.get(cur); enc != nil {
+		return enc, next, nil
 	}
 	entries, next, _, err := s.db.EntryPage(cur, s.getBatch, wire.MaxGetBytes, true)
 	if err != nil {
@@ -414,8 +377,6 @@ func (s *Server) encodedReplPage(cur int) ([]byte, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	if s.pool != nil {
-		s.pool.entryCache.put(cur, next, enc)
-	}
+	s.pool.entryCache.put(cur, next, enc)
 	return enc, next, nil
 }

@@ -475,8 +475,8 @@ func (s *Server) fetchSnapshot(c *wire.Conn, reqID *uint64) error {
 // stream incrementally (CRC-checking every record, exactly as local
 // recovery would), and apply the entries. Returns false — with the
 // local store untouched past any entries the fallback reply carried —
-// when the primary has nothing folded or predates raw paging, in which
-// case the caller continues entry-paged.
+// when the primary has nothing folded (an ephemeral store, or none
+// compacted yet), in which case the caller continues entry-paged.
 func (s *Server) fetchSnapshotRaw(c *wire.Conn, reqID *uint64) (bool, error) {
 	parser := store.NewSnapshotParser()
 	var version uint64
@@ -495,9 +495,8 @@ func (s *Server) fetchSnapshotRaw(c *wire.Conn, reqID *uint64) (bool, error) {
 		}
 		s.contactFrom(s.db.Epoch())
 		if page.SnapVersion == 0 {
-			// Nothing folded to ship, or an old server that read the
-			// request as a plain SNAPSHOT: the reply is an entry page
-			// from index 1. Apply it and continue entry-paged.
+			// The primary has nothing folded to ship: the reply is an
+			// entry page from index 1. Apply it and continue entry-paged.
 			if len(page.Entries) > 0 {
 				if _, err := s.db.ApplyReplicated(1, entriesFromWire(page.Entries)); err != nil {
 					return false, fmt.Errorf("apply snapshot fallback page: %w", err)

@@ -82,10 +82,7 @@ type Config struct {
 	PushMaxLag int
 	// Pushers sizes the pooled pusher subsystem (pool.go): that many
 	// shared worker goroutines drive every subscribed session's log
-	// cursor. 0 means GOMAXPROCS. Negative selects the baseline
-	// per-session architecture — one dedicated pusher goroutine per
-	// session — kept runnable so the pool's scaling claims stay
-	// measurable against it.
+	// cursor. 0 means GOMAXPROCS; negative is rejected by New.
 	Pushers int
 	// MaxSessions caps concurrent v2 sessions. A HELLO past the cap is
 	// answered with a v1 downgrade, shedding the peer into poll mode
@@ -200,8 +197,7 @@ type Server struct {
 	db    *store.Store
 
 	// Session layer (protocol v2): hub tracks subscribed sessions and
-	// their push admission, pool is the shared pusher worker pool (nil
-	// in the baseline per-session-pusher architecture);
+	// their push admission, pool is the shared pusher worker pool;
 	// getBatch/pushMaxLag/maxSessions/maxSubs are the resolved Config
 	// knobs.
 	hub         hub
@@ -273,6 +269,9 @@ type addJob struct {
 // exact signature sequence (and per-user validation state) it had before
 // the last shutdown or crash.
 func New(cfg Config) (*Server, error) {
+	if cfg.Pushers < 0 {
+		return nil, fmt.Errorf("server: Pushers must be >= 0, got %d", cfg.Pushers)
+	}
 	codec, err := ids.NewCodec(cfg.Key)
 	if err != nil {
 		return nil, fmt.Errorf("server: %w", err)
@@ -307,13 +306,11 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.maxSessions = cfg.MaxSessions
 	s.maxSubs = cfg.MaxSubs
-	if cfg.Pushers >= 0 {
-		workers := cfg.Pushers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		s.pool = newPusherPool(s, workers)
+	workers := cfg.Pushers
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
+	s.pool = newPusherPool(s, workers)
 	if cfg.IngestWorkers > 0 {
 		queue := cfg.IngestQueue
 		if queue <= 0 {
@@ -462,8 +459,8 @@ func (s *Server) Process(req wire.Request) wire.Response {
 // verbatim byte pages — no log walk, no per-entry re-serialization; the
 // records' CRCs travel with the bytes. When there is nothing folded to
 // ship (ephemeral store, or no compaction yet) the reply degrades to an
-// entry page exactly like a server that predates raw paging, which the
-// follower detects by the zero SnapVersion. Entry pages serve full
+// entry page with a zero SnapVersion, which is how the follower detects
+// the fallback. Entry pages serve full
 // entries from 1-based req.From, including the snapshot-folded prefix,
 // so a fenced or boundary-lagged follower rebuilds the authoritative
 // log without replaying client uploads.
@@ -755,11 +752,9 @@ func (s *Server) Close() {
 	}
 	s.mu.Unlock()
 	s.wg.Wait()
-	if s.pool != nil {
-		// After wg.Wait every session is fully torn down, so no enqueue
-		// can race the pool shutdown.
-		s.pool.close()
-	}
+	// After wg.Wait every session is fully torn down, so no enqueue can
+	// race the pool shutdown.
+	s.pool.close()
 	s.closeIngest()
 	_ = s.db.Close()
 }

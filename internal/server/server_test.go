@@ -259,3 +259,9 @@ func TestNewRequiresValidKey(t *testing.T) {
 		t.Error("bad key should fail")
 	}
 }
+
+func TestNewRejectsNegativePushers(t *testing.T) {
+	if _, err := New(Config{Key: testKey, Pushers: -1}); err == nil {
+		t.Error("negative Pushers should fail")
+	}
+}

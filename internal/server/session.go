@@ -195,14 +195,10 @@ type session struct {
 
 	out chan outFrame
 	// pushSlot carries at most one pre-encoded PUSH frame from the
-	// pusher (pool worker or per-session loop) to the writer. The
+	// pusher pool to the writer. The
 	// inflight flag guarantees it is empty whenever a send is attempted,
 	// so pushers never block on a slow subscriber.
 	pushSlot chan []byte
-	// notify is the baseline architecture's pusher wakeup (cap 1,
-	// coalescing); nil in pooled mode, where wakeups go through the
-	// readiness queue instead.
-	notify   chan struct{}
 	stop     chan struct{}
 	stopOnce sync.Once
 
@@ -245,7 +241,7 @@ type session struct {
 	// pstate is the pooled scheduler's per-session state (pool.go).
 	pstate int8
 
-	wg sync.WaitGroup // writer (+ baseline pusher) + in-flight ADD handlers
+	wg sync.WaitGroup // writer + in-flight ADD handlers
 }
 
 func newSession(conn net.Conn, wc *wire.Conn) *session {
@@ -286,7 +282,7 @@ func (sess *session) closing() bool {
 }
 
 // shutdown tears the session down exactly once: the stop channel
-// releases every goroutine blocked on send/notify, and closing the
+// releases every goroutine blocked on send, and closing the
 // connection unblocks the reader.
 func (sess *session) shutdown() {
 	sess.stopOnce.Do(func() {
@@ -354,17 +350,8 @@ func (s *Server) serveSession(conn net.Conn, c *wire.Conn, hello wire.Request) {
 	defer s.releaseSession()
 
 	sess := newSession(conn, c)
-	if s.pool == nil {
-		// Baseline architecture (Config.Pushers < 0): a dedicated pusher
-		// goroutine per session, woken through a cap-1 notify channel.
-		sess.notify = make(chan struct{}, 1)
-		sess.wg.Add(2)
-		go s.writeLoop(sess)
-		go s.sessionPushLoop(sess)
-	} else {
-		sess.wg.Add(1)
-		go s.writeLoop(sess)
-	}
+	sess.wg.Add(1)
+	go s.writeLoop(sess)
 	defer func() {
 		sess.shutdown()
 		s.hub.remove(sess)

@@ -11,13 +11,10 @@ import (
 	"communix/internal/wire"
 )
 
-// forEachPushMode runs a push-path test under both pusher
-// architectures: the pooled subsystem (the default) and the baseline
-// per-session pusher goroutines (Pushers < 0), which PR-1-style stays
-// runnable exactly so correctness and scaling claims remain comparable.
+// forEachPushMode runs a push-path test against the pooled pusher
+// subsystem with a two-worker pool.
 func forEachPushMode(t *testing.T, fn func(t *testing.T, pushers int)) {
 	t.Run("pooled", func(t *testing.T) { fn(t, 2) })
-	t.Run("baseline", func(t *testing.T) { fn(t, -1) })
 }
 
 // v2TestServer spins up a TCP server with session knobs; cleanup stops

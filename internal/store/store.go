@@ -11,7 +11,7 @@
 // assigns the global 1-based indexes; GET reads a lock-free snapshot of
 // that log and never blocks writers. The Locked type in this package is
 // the original single-mutex implementation, kept as the semantic
-// reference and benchmark baseline.
+// reference the differential tests compare against.
 //
 // With Config.DataDir set (use Open, not New), the database is durable:
 // every committed batch is written ahead to a CRC-checked segment log
