@@ -479,6 +479,15 @@ func (c *byteChooser) intn(n int) int {
 // cycle-closing acquisition that detection denies.
 func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled bool,
 	rigFn func(*testing.T, int, func(*Config)) *diffRig) {
+	runDifferentialScriptPool(t, ch, ops, detectionDisabled, false, rigFn)
+}
+
+// runDifferentialScriptPool is runDifferentialScript with a choice of
+// stack pool: matchedOnly acquires only with stacks that match an
+// installed signature, so every acquisition takes the sharded matched
+// path on the fast runtime.
+func runDifferentialScriptPool(t *testing.T, ch chooser, ops int, detectionDisabled, matchedOnly bool,
+	rigFn func(*testing.T, int, func(*Config)) *diffRig) {
 	const (
 		nLocks   = 4
 		nThreads = 4
@@ -511,6 +520,12 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 		ps.outerA,
 		ps.outerB,
 		append(mkStack("Deep", "d", 3), ps.outerA.Clone()...),
+	}
+	// pool is what acquisitions draw from; the first three stacks match
+	// nothing, so matchedOnly drops them.
+	pool := stacks
+	if matchedOnly {
+		pool = stacks[3:]
 	}
 
 	extraSig := func() *sig.Signature {
@@ -574,7 +589,7 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 				if b, _, ok := blockerHolds(parkedTid); ok && b != parkedTid {
 					if _, busy := r.pending[b]; !busy {
 						pl := r.pending[parkedTid].lock
-						r.acquire(b, pl, stacks[ch.intn(len(stacks))])
+						r.acquire(b, pl, pool[ch.intn(len(pool))])
 						r.drainResolved()
 					}
 				}
@@ -619,7 +634,7 @@ func runDifferentialScript(t *testing.T, ch chooser, ops int, detectionDisabled 
 			if _, busy := r.pending[tid]; busy {
 				continue
 			}
-			r.acquire(tid, ch.intn(nLocks), stacks[ch.intn(len(stacks))])
+			r.acquire(tid, ch.intn(nLocks), pool[ch.intn(len(pool))])
 		case 6, 7: // release a held lock
 			for tid, holds := range r.held {
 				if _, busy := r.pending[tid]; !busy && len(holds) > 0 {
@@ -700,6 +715,21 @@ func TestDifferentialFuzzedInterleavings(t *testing.T) {
 				runDifferentialScript(t, randChooser{rand.New(rand.NewSource(seed))}, 120, true, newDiffRig)
 			})
 		}
+	})
+}
+
+// TestDifferentialShardedVsGlobal replays fuzzed scripts whose every
+// acquisition uses a matching stack, against the global-mutex reference
+// (FastPathDisabled): each grant, yield and denial of the sharded matched
+// path is compared with the same decision taken under rt.mu.
+func TestDifferentialShardedVsGlobal(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			runDifferentialScriptPool(t, randChooser{rand.New(rand.NewSource(seed))}, 120, false, true, newDiffRig)
+		})
+	}
+	t.Run("detection-disabled", func(t *testing.T) {
+		runDifferentialScriptPool(t, randChooser{rand.New(rand.NewSource(43))}, 120, true, true, newDiffRig)
 	})
 }
 
