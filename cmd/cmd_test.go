@@ -74,8 +74,9 @@ func buildAll(t *testing.T) string {
 		for _, name := range []string{"communix-server", "communix-client", "communix-agent", "communix-bench", "communix-inspect"} {
 			args = append(args, "communix/cmd/"+name)
 		}
+		// The test runs in cmd/, inside the module, so the import paths
+		// resolve without setting a directory.
 		cmd := exec.Command("go", args...)
-		cmd.Dir = repoRoot(t)
 		if msg, err := cmd.CombinedOutput(); err != nil {
 			binErr = fmt.Errorf("go build: %v\n%s", err, msg)
 		}
@@ -84,15 +85,6 @@ func buildAll(t *testing.T) string {
 		t.Fatal(binErr)
 	}
 	return binDir
-}
-
-func repoRoot(t *testing.T) string {
-	t.Helper()
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return filepath.Dir(wd) // cmd/ -> repo root
 }
 
 const keyHex = "000102030405060708090a0b0c0d0e0f"

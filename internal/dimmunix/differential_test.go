@@ -40,9 +40,6 @@ type diffRig struct {
 	refLocks  []*Lock
 	pending   map[ThreadID]*diffOp
 	held      map[ThreadID][]int // test-side model of granted holds
-	// refFullRebuild empties the reference history's changelog after
-	// every mutation, so every reference refresh is a full rebuild.
-	refFullRebuild bool
 }
 
 // newDiffRig builds the default rig: the full sharded fast path against
@@ -52,13 +49,19 @@ func newDiffRig(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
 }
 
 // newDiffRigFullRebuild builds the refresh rig: the incremental
-// delta-refresh runtime against one whose every history refresh is a
-// full rebuild (dropChangelog) — both on the full sharded fast path, so
-// every decision taken after a hot-swap checks the delta application
-// against the rebuild-from-scratch reference.
+// delta-refresh runtime against one whose history records no changelog,
+// so its every refresh is a full rebuild — both on the full sharded fast
+// path, so every decision taken after a hot-swap checks the delta
+// application against the rebuild-from-scratch reference. That covers
+// signatures the reference learns by its own detection too; at the end
+// of the script the rig checks the reference never took a delta.
 func newDiffRigFullRebuild(t *testing.T, nLocks int, mutate func(*Config)) *diffRig {
-	r := newDiffRigRef(t, nLocks, mutate, func(*Config) {})
-	r.refFullRebuild = true
+	r := newDiffRigRef(t, nLocks, mutate, func(c *Config) { c.History.noChangelog = true })
+	t.Cleanup(func() {
+		if delta, _ := r.ref.RefreshCounts(); delta != 0 {
+			t.Errorf("full-rebuild reference took %d delta refreshes", delta)
+		}
+	})
 	return r
 }
 
@@ -101,7 +104,6 @@ func newDiffRigRef(t *testing.T, nLocks int, mutate func(*Config), refMutate fun
 func (r *diffRig) install(s *sig.Signature) {
 	fa := r.fastHist.Add(s)
 	ra := r.refHist.Add(s)
-	r.refMutated()
 	if fa != ra {
 		r.t.Fatalf("install divergence: fast added=%v ref added=%v", fa, ra)
 	}
@@ -111,7 +113,6 @@ func (r *diffRig) install(s *sig.Signature) {
 func (r *diffRig) remove(id string) {
 	fr := r.fastHist.Remove(id)
 	rr := r.refHist.Remove(id)
-	r.refMutated()
 	if fr != rr {
 		r.t.Fatalf("remove divergence: fast removed=%v ref removed=%v", fr, rr)
 	}
@@ -122,16 +123,8 @@ func (r *diffRig) remove(id string) {
 func (r *diffRig) replace(oldID string, s *sig.Signature) {
 	fr := r.fastHist.Replace(oldID, s)
 	rr := r.refHist.Replace(oldID, s)
-	r.refMutated()
 	if fr != rr {
 		r.t.Fatalf("replace divergence: fast=%v ref=%v", fr, rr)
-	}
-}
-
-// refMutated runs after every reference-history mutation.
-func (r *diffRig) refMutated() {
-	if r.refFullRebuild {
-		dropChangelog(r.refHist)
 	}
 }
 
@@ -366,7 +359,19 @@ func TestDifferentialAvoidanceYield(t *testing.T) {
 // RecoverBreak on both runtimes and both histories learn the same
 // signature.
 func TestDifferentialDeadlockDetection(t *testing.T) {
-	r := newDiffRig(t, 2, nil)
+	runDeadlockDetection(t, newDiffRig)
+}
+
+// TestDifferentialDeadlockDetectionFullRebuild replays the same deadlock
+// against the full-rebuild reference: the signature each runtime learns
+// by detection reaches the incremental runtime as a delta and the
+// reference through a full rebuild.
+func TestDifferentialDeadlockDetectionFullRebuild(t *testing.T) {
+	runDeadlockDetection(t, newDiffRigFullRebuild)
+}
+
+func runDeadlockDetection(t *testing.T, rigFn func(*testing.T, int, func(*Config)) *diffRig) {
+	r := rigFn(t, 2, nil)
 	ps := newPairStacks()
 
 	if !r.acquire(1, 0, ps.outerA) || !r.acquire(2, 1, ps.outerB) {

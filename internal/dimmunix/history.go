@@ -71,6 +71,11 @@ type History struct {
 	deltaRing  []historyDelta
 	deltaHead  int // index of the oldest entry
 	deltaCount int
+	// noChangelog makes recordDeltaLocked record nothing, so every
+	// consumer refresh misses the ring and takes the full rebuild. Only
+	// tests set it, to build the full-rebuild reference the incremental
+	// refresh is compared against.
+	noChangelog bool
 
 	// Adaptive-cap bookkeeping. DeltaSince runs under mu.RLock, so its
 	// observations are atomics; resize decisions are applied by the next
@@ -113,6 +118,9 @@ const (
 // just bumped h.version, applying any pending cap resize first. Caller
 // holds h.mu for writing.
 func (h *History) recordDeltaLocked(added, removed []*sig.Signature) {
+	if h.noChangelog {
+		return
+	}
 	if h.deltaRing == nil {
 		h.deltaRing = make([]historyDelta, DeltaRingCap)
 	}

@@ -60,19 +60,18 @@ func refreshTestSig(n int) *sig.Signature {
 	return s
 }
 
-// dropChangelog empties h's changelog: the state a ring overrun leaves a
-// lagging consumer in. A runtime's next refresh then finds no delta
-// covering its gap and takes the full rebuild, so a history that drops
-// its changelog after every mutation gives the full-rebuild reference the
+// fullRebuildHistory returns an empty history that records no
+// changelog: a runtime over it finds no delta covering any version gap,
+// so every refresh it takes is a full rebuild — the reference the
 // incremental refresh is tested against.
-func dropChangelog(h *History) {
-	h.mu.Lock()
-	h.deltaHead, h.deltaCount = 0, 0
-	h.mu.Unlock()
+func fullRebuildHistory() *History {
+	h := NewHistory()
+	h.noChangelog = true
+	return h
 }
 
 // TestDifferentialIncrementalRefreshDigest drives an incremental-refresh
-// runtime and a full-rebuild reference (dropChangelog) through
+// runtime and a full-rebuild reference (fullRebuildHistory) through
 // identical fuzzed interleavings of acquisitions, releases, and
 // history Add/Remove/Replace mutations, forcing a refresh and comparing
 // the full registered-position digest at every settle point. Any state
@@ -99,7 +98,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		in    bool      // currently installed in both histories
 	}
 	inc := NewRuntime(Config{Policy: RecoverBreak})
-	ref := NewRuntime(Config{Policy: RecoverBreak})
+	ref := NewRuntime(Config{History: fullRebuildHistory(), Policy: RecoverBreak})
 	defer inc.Close()
 	defer ref.Close()
 	var incLocks, refLocks []*Lock
@@ -182,7 +181,6 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if inc.History().Add(c.s) != ref.History().Add(c.s) {
 				t.Fatal("add divergence")
 			}
-			dropChangelog(ref.History())
 			c.in = true
 			if r.Intn(3) > 0 { // sometimes leave the gap to accumulate
 				compare(fmt.Sprintf("after add at op %d", i))
@@ -195,7 +193,6 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if inc.History().Remove(c.s.ID()) != ref.History().Remove(c.s.ID()) {
 				t.Fatal("remove divergence")
 			}
-			dropChangelog(ref.History())
 			c.in = false
 			if r.Intn(3) > 0 {
 				compare(fmt.Sprintf("after remove at op %d", i))
@@ -210,7 +207,6 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 			if inc.History().Replace(c.s.ID(), fresh.s) != ref.History().Replace(c.s.ID(), fresh.s) {
 				t.Fatal("replace divergence")
 			}
-			dropChangelog(ref.History())
 			fresh.in = true
 			cats[ci] = fresh
 			if r.Intn(3) > 0 {
@@ -227,7 +223,6 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		c := newCat()
 		inc.History().Add(c.s)
 		ref.History().Add(c.s)
-		dropChangelog(ref.History())
 	}
 	compare("after bulk ingestion")
 
@@ -239,7 +234,7 @@ func runRefreshDigestScript(t *testing.T, r *rand.Rand, ops int) {
 		t.Error("incremental runtime never fell back to a full rebuild (bulk overflow should force one)")
 	}
 	if rd, _ := ref.RefreshCounts(); rd != 0 {
-		t.Errorf("reference runtime took %d delta refreshes despite its dropped changelog", rd)
+		t.Errorf("reference runtime took %d delta refreshes despite recording no changelog", rd)
 	}
 }
 
@@ -315,7 +310,7 @@ func TestYieldCarryoverAdoption(t *testing.T) {
 // re-homes on its own timeout; the incremental delta wakes the removed
 // shard's yielders directly.
 func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
-	park := func(t *testing.T, rt *Runtime, fullRebuild bool) (a, b *Lock, done chan error) {
+	park := func(t *testing.T, rt *Runtime) (a, b *Lock, done chan error) {
 		t.Helper()
 		ps := newPairStacks()
 		rt.History().Add(ps.signature())
@@ -332,9 +327,6 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 			return parked
 		}, "thread 2 parked as a yielder")
 		rt.History().Remove(ps.signature().ID())
-		if fullRebuild {
-			dropChangelog(rt.History())
-		}
 		rt.mu.Lock()
 		rt.refreshPositionsLocked()
 		rt.mu.Unlock()
@@ -346,11 +338,11 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 		yieldRehomeNanos.Store(int64(50 * time.Millisecond))
 		defer yieldRehomeNanos.Store(old)
 
-		rt := NewRuntime(Config{Policy: RecoverBreak})
+		rt := NewRuntime(Config{History: fullRebuildHistory(), Policy: RecoverBreak})
 		defer rt.Close()
-		a, b, done := park(t, rt, true)
-		if _, full := rt.RefreshCounts(); full == 0 {
-			t.Error("removal was not applied as a full rebuild")
+		a, b, done := park(t, rt)
+		if delta, full := rt.RefreshCounts(); delta != 0 || full == 0 {
+			t.Errorf("removal was not applied as a full rebuild: %d delta, %d full refreshes", delta, full)
 		}
 		// The rebuild dropped the yielder's only shard without waking it;
 		// the shortened re-home timeout must complete the acquisition.
@@ -374,7 +366,7 @@ func TestYieldRehomeAfterSignatureRemoval(t *testing.T) {
 
 		rt := NewRuntime(Config{Policy: RecoverBreak})
 		defer rt.Close()
-		a, b, done := park(t, rt, false)
+		a, b, done := park(t, rt)
 		if err := waitErr(t, done, "thread 2 woken by the delta removal"); err != nil {
 			t.Fatal(err)
 		}
